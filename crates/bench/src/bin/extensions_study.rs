@@ -14,7 +14,10 @@
 //!    domain.
 
 use fieldswap_bench::{BinArgs, TablePrinter};
-use fieldswap_core::{augment_cross_domain, cross_pairs_by_type, CrossDomainSpec, FieldSwapConfig};
+use fieldswap_core::{
+    augment_cross_domain, cross_pairs_by_type, CrossDomainSpec, EngineOptions, FieldSwapConfig,
+    SwapPlan,
+};
 use fieldswap_datagen::{generate, Domain};
 use fieldswap_eval::{evaluate, Arm};
 use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
@@ -137,12 +140,13 @@ fn main() {
         unlabeled.len()
     );
     expanded.set_pairs(fieldswap_core::PairStrategy::TypeToType.build(&sample.schema, &expanded));
-    let (mined_synths, _) = fieldswap_core::augment_corpus(&sample, &expanded);
-    let (seed_synths, _) = fieldswap_core::augment_corpus(&sample, &seed_config);
+    // Counts only: plan the swaps, build none.
+    let planned =
+        |config: &FieldSwapConfig| SwapPlan::new(&sample, config, &EngineOptions::default()).len();
     println!(
         "  synthetics: {} with seed phrases -> {} with mined expansion",
-        seed_synths.len(),
-        mined_synths.len()
+        planned(&seed_config),
+        planned(&expanded)
     );
     args.finish();
 }

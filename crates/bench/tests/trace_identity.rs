@@ -158,6 +158,7 @@ fn quick_grid_is_byte_identical_with_tracing_on() {
     for metric in [
         "fieldswap_swap_attempts_total",
         "fieldswap_swap_synthetics_total",
+        "fieldswap_swap_built_total",
         "fieldswap_matcher_probes_total",
         "fieldswap_cache_hits_total{cache=\"domain_data\"}",
         "fieldswap_cache_misses_total{cache=\"phrase_cache\"}",

@@ -14,8 +14,8 @@
 //! makes in-domain type-to-type swaps safe.
 
 use crate::config::FieldSwapConfig;
-use crate::engine::{swap, AugmentStats, EngineOptions};
-use crate::matcher::{DocMatcher, PhraseMatch};
+use crate::engine::{build_swap, discards, find_matches, match_texts, AugmentStats, EngineOptions};
+use crate::matcher::DocMatcher;
 use fieldswap_docmodel::{Corpus, Document, FieldId, Schema};
 
 /// A cross-domain augmentation specification.
@@ -68,17 +68,10 @@ pub fn augment_cross_domain(
             if !doc.has_field(s) {
                 continue;
             }
-            let mut matches: Vec<PhraseMatch> = Vec::new();
-            for phrase in spec.source_config.phrases(s) {
-                stats.phrase_probes += 1;
-                matches.extend(matcher.find(phrase));
-            }
-            stats.phrase_matches += matches.len();
+            let matches = find_matches(&matcher, spec.source_config.phrases(s), &mut stats);
             if matches.is_empty() {
                 continue;
             }
-            matches.sort_by_key(|m| m.start);
-            matches.dedup();
 
             // Project the document into the target schema: keep only the
             // source field's instances (they become the target field) and
@@ -87,26 +80,16 @@ pub fn augment_cross_domain(
             projected.annotations.retain(|a| a.field == s);
             projected.id = format!("{}+cross", doc.id);
 
-            let old_texts = crate::engine::match_texts(doc, &matches);
+            let old_texts = match_texts(doc, &matches);
             let mut produced = false;
             for (pi, target_phrase) in spec.target_config.phrases(t).iter().enumerate() {
-                match swap(
-                    &projected,
-                    &matches,
-                    &old_texts,
-                    s,
-                    t,
-                    target_phrase,
-                    pi,
-                    &opts,
-                ) {
-                    Some(synth) => {
-                        out.push(synth);
-                        stats.generated += 1;
-                        produced = true;
-                    }
-                    None => stats.discarded_unchanged += 1,
+                if discards(&old_texts, target_phrase, &opts) {
+                    stats.discarded_unchanged += 1;
+                    continue;
                 }
+                out.push(build_swap(&projected, &matches, s, t, target_phrase, pi));
+                stats.generated += 1;
+                produced = true;
             }
             if produced {
                 stats.productive_pairs += 1;

@@ -7,10 +7,19 @@
 //! replaced by that `T` phrase and all `S` instances are relabeled to `T`.
 //! Synthetics whose token text is unchanged by the replacement are
 //! discarded — the guard that suppresses contradictory same-phrase swaps.
+//!
+//! Augmentation runs in two phases. [`SwapPlan::new`] *plans*: it runs the
+//! matcher, overlap resolution and the discard rule, and records each
+//! surviving swap as a handful of integers. [`SwapPlan::build`] *builds*
+//! one synthetic on demand. Callers that keep a subset (the experiment
+//! harness's synthetic cap) or only count (Table III) build only what they
+//! use; [`augment_corpus`] and [`augment_document`] plan, then build all.
 
 use crate::config::FieldSwapConfig;
 use crate::matcher::{DocMatcher, PhraseMatch};
 use fieldswap_docmodel::{BBox, Corpus, Document, EntitySpan, FieldId, Token};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Engine behavior knobs. The defaults implement the paper exactly; the
 /// alternatives exist for the ablation benches.
@@ -56,16 +65,6 @@ pub struct AugmentStats {
 }
 
 impl AugmentStats {
-    fn absorb(&mut self, other: &AugmentStats) {
-        self.generated += other.generated;
-        self.discarded_unchanged += other.discarded_unchanged;
-        self.productive_pairs += other.productive_pairs;
-        self.phrase_probes += other.phrase_probes;
-        self.phrase_matches += other.phrase_matches;
-        self.skipped_pairs_no_phrases += other.skipped_pairs_no_phrases;
-        self.sanitized_docs += other.sanitized_docs;
-    }
-
     /// Publishes this run's counters to the `fieldswap-obs` registry
     /// (no-op unless metrics are enabled).
     fn report(&self) {
@@ -93,9 +92,9 @@ impl AugmentStats {
     }
 }
 
-/// Augments a whole corpus: applies [`augment_document`] to every document
-/// and aggregates statistics. Synthetic documents do not include the
-/// originals; train on the union (Fig. 3, step 3).
+/// Augments a whole corpus: plans every swap with [`SwapPlan::new`] and
+/// builds all of them. Synthetic documents do not include the originals;
+/// train on the union (Fig. 3, step 3).
 pub fn augment_corpus(corpus: &Corpus, config: &FieldSwapConfig) -> (Vec<Document>, AugmentStats) {
     augment_corpus_with(corpus, config, &EngineOptions::default())
 }
@@ -106,16 +105,8 @@ pub fn augment_corpus_with(
     config: &FieldSwapConfig,
     opts: &EngineOptions,
 ) -> (Vec<Document>, AugmentStats) {
-    let _span = fieldswap_obs::span("augment_corpus");
-    let mut synthetics = Vec::new();
-    let mut stats = AugmentStats::default();
-    for doc in &corpus.documents {
-        let (mut docs, s) = augment_document_with(doc, config, opts);
-        stats.absorb(&s);
-        synthetics.append(&mut docs);
-    }
-    stats.report();
-    (synthetics, stats)
+    let plan = SwapPlan::new(corpus, config, opts);
+    (plan.build_all(), plan.stats)
 }
 
 /// Generates all synthetic variants of one document under `config`.
@@ -129,78 +120,184 @@ pub fn augment_document_with(
     config: &FieldSwapConfig,
     opts: &EngineOptions,
 ) -> (Vec<Document>, AugmentStats) {
-    let mut out = Vec::new();
-    let mut stats = AugmentStats::default();
-    // Degenerate inputs (deserialized or attacked documents that bypass
-    // `DocumentBuilder`) are repaired on a copy rather than crashing the
-    // engine; valid documents take the borrowed fast path untouched.
-    let repaired;
-    let doc = if doc.validate().is_err() {
-        let mut copy = doc.clone();
-        copy.sanitize();
-        stats.sanitized_docs = 1;
-        repaired = copy;
-        &repaired
-    } else {
-        doc
-    };
-    // One matching context per document: token normalization and the
-    // labeled set are shared by every (pair, phrase) probe below.
-    let matcher = DocMatcher::new(doc);
-    for &(source, target) in config.pairs() {
-        if !config.has_phrases(source) || !config.has_phrases(target) {
-            // Zero inferred phrases for a field: skip the pair (counted),
-            // never panic. The swap itself would be a no-op anyway.
-            stats.skipped_pairs_no_phrases += 1;
-            continue;
-        }
-        if !doc.has_field(source) {
-            continue;
-        }
-        // Find occurrences of any source key phrase. The paper replaces
-        // "all matching source key phrases"; occurrences of different
-        // source phrases are all rewritten in the same synthetic.
-        let mut matches: Vec<PhraseMatch> = Vec::new();
-        for phrase in config.phrases(source) {
-            stats.phrase_probes += 1;
-            matches.extend(matcher.find(phrase));
-        }
-        stats.phrase_matches += matches.len();
-        if matches.is_empty() {
-            continue;
-        }
-        matches.sort_by_key(|m| m.start);
-        matches.dedup();
-        // Drop overlapping matches (e.g. "base" inside "base salary"):
-        // keep the earliest-starting, longest occurrence.
-        let matches = drop_overlaps(matches);
-        let old_texts = match_texts(doc, &matches);
+    let plan = SwapPlan::plan(std::slice::from_ref(doc), config, opts);
+    (plan.build_all(), plan.stats)
+}
 
-        let mut produced = false;
-        for (pi, target_phrase) in config.phrases(target).iter().enumerate() {
-            match swap(
-                doc,
-                &matches,
-                &old_texts,
-                source,
-                target,
-                target_phrase,
-                pi,
-                opts,
-            ) {
-                Some(synth) => {
-                    out.push(synth);
-                    stats.generated += 1;
-                    produced = true;
+/// One planned synthetic: what [`SwapPlan::build`] needs to make it.
+#[derive(Debug)]
+struct PlannedSwap {
+    /// Index into [`SwapPlan::docs`].
+    doc: usize,
+    source: FieldId,
+    target: FieldId,
+    /// Index into the target field's key phrases.
+    phrase: usize,
+    /// The resolved source-phrase occurrences, as a range of
+    /// [`SwapPlan::matches`]; every target phrase of one `(doc, pair)`
+    /// shares it.
+    matches: Range<usize>,
+}
+
+/// Every synthetic FieldSwap would generate from a set of documents,
+/// planned but not yet built. Planning runs the matcher, overlap
+/// resolution and the discard rule, so [`len`](Self::len) and
+/// [`stats`](Self::stats) are final; [`build`](Self::build) makes one
+/// synthetic, identical to the one at the same index of
+/// [`augment_corpus`]'s output.
+#[derive(Debug)]
+pub struct SwapPlan<'a> {
+    /// The planned documents, in input order; degenerate ones are
+    /// sanitized copies.
+    docs: Vec<Cow<'a, Document>>,
+    config: &'a FieldSwapConfig,
+    /// Arena of resolved phrase occurrences shared by the planned swaps.
+    matches: Vec<PhraseMatch>,
+    swaps: Vec<PlannedSwap>,
+    stats: AugmentStats,
+}
+
+impl<'a> SwapPlan<'a> {
+    /// Plans every swap over `corpus` and publishes the run's counters.
+    pub fn new(corpus: &'a Corpus, config: &'a FieldSwapConfig, opts: &EngineOptions) -> Self {
+        let _span = fieldswap_obs::span("augment_corpus");
+        let plan = Self::plan(&corpus.documents, config, opts);
+        plan.stats.report();
+        plan
+    }
+
+    fn plan(docs: &'a [Document], config: &'a FieldSwapConfig, opts: &EngineOptions) -> Self {
+        let mut plan = Self {
+            docs: Vec::with_capacity(docs.len()),
+            config,
+            matches: Vec::new(),
+            swaps: Vec::new(),
+            stats: AugmentStats::default(),
+        };
+        for doc in docs {
+            plan.plan_document(doc, opts);
+        }
+        plan
+    }
+
+    fn plan_document(&mut self, doc: &'a Document, opts: &EngineOptions) {
+        let config = self.config;
+        let doc_index = self.docs.len();
+        // Degenerate inputs (deserialized or attacked documents that
+        // bypass `DocumentBuilder`) are repaired on a copy rather than
+        // crashing the engine; valid documents are borrowed untouched.
+        let doc: Cow<'a, Document> = if doc.validate().is_err() {
+            let mut copy = doc.clone();
+            copy.sanitize();
+            self.stats.sanitized_docs += 1;
+            Cow::Owned(copy)
+        } else {
+            Cow::Borrowed(doc)
+        };
+        // One matching context per document: token normalization and the
+        // labeled set are shared by every (pair, phrase) probe below.
+        let matcher = DocMatcher::new(&doc);
+        for &(source, target) in config.pairs() {
+            if !config.has_phrases(source) || !config.has_phrases(target) {
+                // Zero inferred phrases for a field: skip the pair
+                // (counted), never panic. The swap would be a no-op anyway.
+                self.stats.skipped_pairs_no_phrases += 1;
+                continue;
+            }
+            if !doc.has_field(source) {
+                continue;
+            }
+            // The paper replaces "all matching source key phrases":
+            // occurrences of different source phrases are all rewritten
+            // in the same synthetic.
+            let matches = find_matches(&matcher, config.phrases(source), &mut self.stats);
+            if matches.is_empty() {
+                continue;
+            }
+            // Drop overlapping matches (e.g. "base" inside "base salary"):
+            // keep the earliest-starting, longest occurrence.
+            let matches = drop_overlaps(matches);
+            let old_texts = match_texts(&doc, &matches);
+            let start = self.matches.len();
+            self.matches.extend_from_slice(&matches);
+            let range = start..self.matches.len();
+            let planned = self.swaps.len();
+            for (pi, target_phrase) in config.phrases(target).iter().enumerate() {
+                if discards(&old_texts, target_phrase, opts) {
+                    self.stats.discarded_unchanged += 1;
+                    continue;
                 }
-                None => stats.discarded_unchanged += 1,
+                self.swaps.push(PlannedSwap {
+                    doc: doc_index,
+                    source,
+                    target,
+                    phrase: pi,
+                    matches: range.clone(),
+                });
+            }
+            let produced = self.swaps.len() - planned;
+            self.stats.generated += produced;
+            if produced > 0 {
+                self.stats.productive_pairs += 1;
             }
         }
-        if produced {
-            stats.productive_pairs += 1;
-        }
+        self.docs.push(doc);
     }
-    (out, stats)
+
+    /// Number of planned synthetics (equals `stats().generated`).
+    pub fn len(&self) -> usize {
+        self.swaps.len()
+    }
+
+    /// Whether the plan holds no synthetic.
+    pub fn is_empty(&self) -> bool {
+        self.swaps.is_empty()
+    }
+
+    /// The run's statistics, final at planning time.
+    pub fn stats(&self) -> &AugmentStats {
+        &self.stats
+    }
+
+    /// Builds synthetic `i` (planning order: document, pair, target
+    /// phrase). Each call is independent, so any subset can be built in
+    /// any order. Panics if `i >= len()`.
+    pub fn build(&self, i: usize) -> Document {
+        let s = &self.swaps[i];
+        fieldswap_obs::counter_add("fieldswap_swap_built_total", 1);
+        build_swap(
+            &self.docs[s.doc],
+            &self.matches[s.matches.clone()],
+            s.source,
+            s.target,
+            &self.config.phrases(s.target)[s.phrase],
+            s.phrase,
+        )
+    }
+
+    /// Builds every planned synthetic, in planning order.
+    pub fn build_all(&self) -> Vec<Document> {
+        (0..self.len()).map(|i| self.build(i)).collect()
+    }
+}
+
+/// Every occurrence of any of `phrases` in the matcher's document, sorted
+/// by start and deduplicated, with probes and hits counted into `stats`.
+/// Shared with the cross-domain extension (`crate::crossdomain`).
+pub(crate) fn find_matches(
+    matcher: &DocMatcher<'_>,
+    phrases: &[String],
+    stats: &mut AugmentStats,
+) -> Vec<PhraseMatch> {
+    let mut matches: Vec<PhraseMatch> = Vec::new();
+    for phrase in phrases {
+        stats.phrase_probes += 1;
+        matches.extend(matcher.find(phrase));
+    }
+    stats.phrase_matches += matches.len();
+    matches.sort_by_key(|m| m.start);
+    matches.dedup();
+    matches
 }
 
 fn drop_overlaps(matches: Vec<PhraseMatch>) -> Vec<PhraseMatch> {
@@ -220,7 +317,7 @@ fn drop_overlaps(matches: Vec<PhraseMatch>) -> Vec<PhraseMatch> {
 }
 
 /// The normalized, space-joined text of each match — what the match
-/// "already reads as" for the unchanged-swap guard in [`swap`].
+/// "already reads as" for the unchanged-swap guard in [`discards`].
 pub(crate) fn match_texts(doc: &Document, matches: &[PhraseMatch]) -> Vec<String> {
     matches
         .iter()
@@ -233,36 +330,34 @@ pub(crate) fn match_texts(doc: &Document, matches: &[PhraseMatch]) -> Vec<String
         .collect()
 }
 
-/// Builds the synthetic document: replaces every match with
-/// `target_phrase` tokens, relabels `source` annotations as `target`, and
-/// re-runs line detection. Returns `None` when the text is unchanged.
-/// Shared with the cross-domain extension (`crate::crossdomain`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn swap(
+/// The discard rule: whether swapping in `target_phrase` must not produce
+/// a synthetic. `old_texts` is [`match_texts`] of the matches, computed
+/// once per (document, pair) because it does not depend on the target
+/// phrase. Shared with the cross-domain extension.
+pub(crate) fn discards(old_texts: &[String], target_phrase: &str, opts: &EngineOptions) -> bool {
+    // A whitespace-only target phrase (possible via a hand-written JSON
+    // config that bypasses `set_phrases` normalization) would emit a
+    // synthetic containing an empty-word token; discard the swap instead.
+    if target_phrase.split_whitespace().next().is_none() {
+        return true;
+    }
+    // Unchanged text: every match already reads as the target phrase.
+    opts.discard_unchanged && old_texts.iter().all(|old| old == target_phrase)
+}
+
+/// Builds the synthetic document for a swap that passed [`discards`]:
+/// replaces every match with `target_phrase` tokens, relabels `source`
+/// annotations as `target`, and re-runs line detection. Shared with the
+/// cross-domain extension.
+pub(crate) fn build_swap(
     doc: &Document,
     matches: &[PhraseMatch],
-    old_texts: &[String],
     source: FieldId,
     target: FieldId,
     target_phrase: &str,
     phrase_index: usize,
-    opts: &EngineOptions,
-) -> Option<Document> {
-    // A whitespace-only target phrase (possible via a hand-written JSON
-    // config that bypasses `set_phrases` normalization) would emit a
-    // synthetic containing an empty-word token; discard the swap instead.
+) -> Document {
     let new_words: Vec<&str> = target_phrase.split_whitespace().collect();
-    if new_words.is_empty() {
-        return None;
-    }
-
-    // Unchanged-text check: every match already reads as the target phrase.
-    // `old_texts` is precomputed once per (document, pair) — see
-    // [`match_texts`] — because it does not depend on the target phrase.
-    let unchanged = old_texts.iter().all(|old| old == target_phrase);
-    if unchanged && opts.discard_unchanged {
-        return None;
-    }
 
     // Rebuild the token list, tracking the old→new index mapping so that
     // annotations (which never overlap matches) can be shifted.
@@ -324,7 +419,7 @@ pub(crate) fn swap(
     };
     fieldswap_ocr::detect_lines(&mut synth);
     debug_assert!(synth.validate().is_ok());
-    Some(synth)
+    synth
 }
 
 #[cfg(test)]
@@ -592,6 +687,98 @@ mod tests {
         config.set_pairs(vec![(0, 1)]);
         let (_, stats) = augment_document(&doc, &config);
         assert_eq!(stats.sanitized_docs, 0);
+    }
+
+    #[test]
+    fn plan_counts_without_building() {
+        let doc = fig1_doc();
+        let schema = Schema::new(
+            "t",
+            vec![
+                fieldswap_docmodel::FieldDef::new("a", fieldswap_docmodel::BaseType::Money),
+                fieldswap_docmodel::FieldDef::new("b", fieldswap_docmodel::BaseType::Money),
+            ],
+        );
+        let corpus = Corpus::new(schema, vec![doc.clone(), doc]);
+        let mut config = fig1_config();
+        config.set_pairs(vec![(0, 0), (0, 1), (1, 0)]);
+        let plan = SwapPlan::new(&corpus, &config, &EngineOptions::default());
+        let (synths, stats) = augment_corpus(&corpus, &config);
+        assert_eq!(plan.len(), synths.len());
+        assert_eq!(plan.len(), plan.stats().generated);
+        assert_eq!(plan.stats(), &stats);
+        // Any single index builds the synthetic at that position.
+        let last = plan.len() - 1;
+        assert_eq!(plan.build(last), synths[last]);
+        assert_eq!(plan.build(0), synths[0]);
+    }
+
+    #[test]
+    fn proptest_capped_plan_builds_match_shuffled_augment_corpus() {
+        // The harness's cap path: shuffle and truncate plan *indices*,
+        // build the survivors. It must yield the same documents, in the
+        // same order, as building everything and shuffling the documents
+        // with the same draws — including from a sanitized document.
+        use crate::PairStrategy;
+        use proptest::prelude::*;
+        use proptest::test_runner::{Config, TestRunner};
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
+        let domain = fieldswap_datagen::Domain::Earnings;
+        let mut corpus = fieldswap_datagen::generate(domain, 11, 5);
+        let mut degenerate = corpus.documents[1].clone();
+        degenerate.id = "degenerate".into();
+        degenerate.annotations.push(EntitySpan {
+            field: 0,
+            start: 0,
+            end: 99_999,
+        });
+        assert!(degenerate.validate().is_err());
+        corpus.documents.insert(2, degenerate);
+        let mut base = FieldSwapConfig::new(corpus.schema.len());
+        for (name, phrases) in domain.generator().phrase_bank() {
+            base.set_phrases(corpus.schema.field_id(&name).unwrap(), phrases);
+        }
+        let arms: Vec<_> = [
+            PairStrategy::FieldToField,
+            PairStrategy::TypeToType,
+            PairStrategy::AllToAll,
+        ]
+        .iter()
+        .map(|strategy| {
+            let mut config = base.clone();
+            config.set_pairs(strategy.build(&corpus.schema, &config));
+            let (all, stats) = augment_corpus(&corpus, &config);
+            assert_eq!(stats.sanitized_docs, 1);
+            assert!(all.iter().any(|d| d.id.starts_with("degenerate+")));
+            (config, all, stats)
+        })
+        .collect();
+
+        let mut runner = TestRunner::new(Config::with_cases(24));
+        runner
+            .run(
+                &(0usize..arms.len(), 0u64..u64::MAX, 1usize..400),
+                |(arm, seed, cap)| {
+                    let (config, all, stats) = &arms[arm];
+                    let plan = SwapPlan::new(&corpus, config, &EngineOptions::default());
+                    prop_assert_eq!(plan.stats(), stats);
+                    prop_assert_eq!(plan.len(), all.len());
+
+                    let mut expected = all.clone();
+                    expected.shuffle(&mut StdRng::seed_from_u64(seed));
+                    expected.truncate(cap);
+                    let mut kept: Vec<usize> = (0..plan.len()).collect();
+                    kept.shuffle(&mut StdRng::seed_from_u64(seed));
+                    kept.truncate(cap);
+                    let built: Vec<Document> = kept.iter().map(|&k| plan.build(k)).collect();
+                    prop_assert_eq!(built, expected);
+                    Ok(())
+                },
+            )
+            .unwrap();
     }
 
     #[test]

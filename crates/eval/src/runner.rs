@@ -24,7 +24,9 @@ use crate::expert::expert_config;
 use crate::metrics::EvalResult;
 use crate::parallel::{par_map_indexed, par_try_map_indexed, OnceMap, SlotPanic};
 use crate::robustness::AttackSpec;
-use fieldswap_core::{attack_corpus, augment_corpus, AttackKind, FieldSwapConfig, PairStrategy};
+use fieldswap_core::{
+    attack_corpus, AttackKind, EngineOptions, FieldSwapConfig, PairStrategy, SwapPlan,
+};
 use fieldswap_datagen::{generate_jobs, Domain};
 use fieldswap_docmodel::Corpus;
 use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
@@ -96,9 +98,11 @@ pub struct HarnessOptions {
     /// Synthetic documents per original per epoch (the baseline repeats
     /// originals to match total updates).
     pub synth_ratio: f32,
-    /// Cap on synthetic documents fed to training (0 = no cap); the
-    /// per-epoch budget already equalizes exposure, this only bounds
-    /// feature-extraction memory.
+    /// Cap on synthetic documents fed to training (0 = no cap): a seeded
+    /// random subset of at most this many planned synthetics is kept.
+    /// Only the kept synthetics are built, so the cap also bounds
+    /// augmentation time and memory; the per-epoch budget already
+    /// equalizes exposure across arms.
     pub synthetic_cap: usize,
     /// Master seed.
     pub seed: u64,
@@ -576,21 +580,36 @@ impl Harness {
             self.sample(domain, size, sample_idx)
         };
         let config = self.arm_config(domain, size, sample_idx, arm);
-        let (mut synthetics, _stats) = {
+        // Plan every swap, then build only the ones the cap keeps. The
+        // shuffle permutes plan indices with the draws it would spend on
+        // the built documents (Fisher–Yates depends only on the length),
+        // so the survivors are the same synthetics in the same order.
+        let (mut synthetics, kept) = {
             let _span = fieldswap_obs::span("augment");
             match &config {
-                Some(c) => augment_corpus(&sample, c),
-                None => (Vec::new(), Default::default()),
+                Some(c) => {
+                    let plan = SwapPlan::new(&sample, c, &EngineOptions::default());
+                    let mut kept: Vec<usize> = (0..plan.len()).collect();
+                    if self.opts.synthetic_cap > 0 && kept.len() > self.opts.synthetic_cap {
+                        let mut rng = StdRng::seed_from_u64(mix_coords(cell, &[STREAM_CAP]));
+                        kept.shuffle(&mut rng);
+                        kept.truncate(self.opts.synthetic_cap);
+                    }
+                    let built: Vec<_> = kept.iter().map(|&k| plan.build(k)).collect();
+                    (built, kept)
+                }
+                None => (Vec::new(), Vec::new()),
             }
         };
         if arm == Arm::TypeToTypeValueSwap {
             // The Section II-C extension: give relabeled instances values
-            // drawn from their new field's observed value bank.
+            // drawn from their new field's observed value bank, seeded by
+            // each synthetic's pre-cap plan index `k`.
             let bank = fieldswap_core::ValueBank::collect(&sample);
             synthetics = synthetics
                 .iter()
-                .enumerate()
-                .map(|(k, s)| {
+                .zip(&kept)
+                .map(|(s, &k)| {
                     fieldswap_core::apply_value_swap_all(
                         s,
                         &bank,
@@ -598,11 +617,6 @@ impl Harness {
                     )
                 })
                 .collect();
-        }
-        if self.opts.synthetic_cap > 0 && synthetics.len() > self.opts.synthetic_cap {
-            let mut rng = StdRng::seed_from_u64(mix_coords(cell, &[STREAM_CAP]));
-            synthetics.shuffle(&mut rng);
-            synthetics.truncate(self.opts.synthetic_cap);
         }
         let n_synthetics = synthetics.len();
         let train_cfg = TrainConfig {
@@ -833,7 +847,7 @@ impl Harness {
         let counts = par_map_indexed(n, self.opts.jobs, |sample_idx| {
             let sample = self.sample(domain, size, sample_idx);
             match self.arm_config(domain, size, sample_idx, arm) {
-                Some(c) => augment_corpus(&sample, &c).0.len(),
+                Some(c) => SwapPlan::new(&sample, &c, &EngineOptions::default()).len(),
                 None => 0,
             }
         });
@@ -871,6 +885,101 @@ mod tests {
             sanitize: true,
             quantized: false,
         }
+    }
+
+    /// The reference for the capped plan: one cell through public calls
+    /// only, as an external benchmark drives it. It builds every
+    /// synthetic with `augment_corpus`, value-swaps all of them, then
+    /// shuffles and truncates the documents.
+    fn build_all_then_cap(h: &Harness, coords: CellCoords) -> ExperimentResult {
+        let (domain, size, arm, sample_idx, trial_idx) = coords;
+        let opts = *h.options();
+        let cell = cell_seed(opts.seed, domain, size, arm, sample_idx, trial_idx);
+        let sample = h.sample(domain, size, sample_idx);
+        let mut synthetics = match h.arm_config(domain, size, sample_idx, arm) {
+            Some(c) => fieldswap_core::augment_corpus(&sample, &c).0,
+            None => Vec::new(),
+        };
+        if arm == Arm::TypeToTypeValueSwap {
+            let bank = fieldswap_core::ValueBank::collect(&sample);
+            synthetics = synthetics
+                .iter()
+                .enumerate()
+                .map(|(k, s)| {
+                    let seed = mix_coords(cell, &[STREAM_VALUE_SWAP, k as u64]);
+                    fieldswap_core::apply_value_swap_all(s, &bank, seed)
+                })
+                .collect();
+        }
+        if opts.synthetic_cap > 0 && synthetics.len() > opts.synthetic_cap {
+            let mut rng = StdRng::seed_from_u64(mix_coords(cell, &[STREAM_CAP]));
+            synthetics.shuffle(&mut rng);
+            synthetics.truncate(opts.synthetic_cap);
+        }
+        let cfg = TrainConfig {
+            epochs: opts.epochs,
+            synth_ratio: opts.synth_ratio,
+            seed: mix_coords(
+                opts.seed,
+                &[
+                    STREAM_TRAIN,
+                    domain as u64,
+                    size as u64,
+                    sample_idx as u64,
+                    trial_idx as u64,
+                ],
+            ),
+            train_jobs: opts.train_jobs,
+            ..TrainConfig::default()
+        };
+        let extractor = Extractor::train_on(
+            &sample.schema,
+            h.shared.lexicon.clone(),
+            &sample,
+            &synthetics,
+            &cfg,
+        );
+        let eval = crate::metrics::evaluate_frozen(&extractor.freeze(), &h.domain_data(domain).1);
+        ExperimentResult {
+            macro_f1: eval.macro_f1(),
+            micro_f1: eval.micro_f1(),
+            per_field_f1: eval.per_field_f1(),
+            n_synthetics: synthetics.len(),
+            n_train_docs: size,
+        }
+    }
+
+    #[test]
+    fn capped_plan_matches_building_every_synthetic_for_all_arms() {
+        let mut opts = tiny_options();
+        opts.synthetic_cap = 40;
+        opts.epochs = 1;
+        let h = Harness::new(opts);
+        let (domain, size) = (Domain::Earnings, 10);
+        let sample = h.sample(domain, size, 0);
+        let mut cap_bound = false;
+        for arm in [
+            Arm::Baseline,
+            Arm::AutoFieldToField,
+            Arm::AutoTypeToType,
+            Arm::AutoAllToAll,
+            Arm::HumanExpert,
+            Arm::NameDerived,
+            Arm::TypeToTypeValueSwap,
+        ] {
+            let all = h
+                .arm_config(domain, size, 0, arm)
+                .map_or(0, |c| fieldswap_core::augment_corpus(&sample, &c).0.len());
+            cap_bound |= all > opts.synthetic_cap;
+            assert_eq!(h.count_synthetics(domain, size, arm), all as f64, "{arm:?}");
+            let coords = (domain, size, arm, 0, 0);
+            assert_eq!(
+                h.run_single(domain, size, arm, 0, 0),
+                build_all_then_cap(&h, coords),
+                "{arm:?}"
+            );
+        }
+        assert!(cap_bound, "no arm exceeded the cap");
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::Collector;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 
@@ -75,7 +74,6 @@ pub struct SpanRecord {
 pub struct SpanGuard<'a> {
     collector: Option<&'a Collector>,
     name: &'static str,
-    start: Option<Instant>,
     start_us: u64,
     attrs: Vec<(&'static str, String)>,
 }
@@ -86,7 +84,6 @@ impl<'a> SpanGuard<'a> {
         Self {
             collector: None,
             name: "",
-            start: None,
             start_us: 0,
             attrs: Vec::new(),
         }
@@ -102,7 +99,6 @@ impl<'a> SpanGuard<'a> {
         Self {
             collector: Some(collector),
             name,
-            start: Some(Instant::now()),
             start_us: collector.now_us(),
             attrs,
         }
@@ -114,10 +110,9 @@ impl Drop for SpanGuard<'_> {
         let Some(collector) = self.collector else {
             return;
         };
-        let dur_us = self
-            .start
-            .map(|s| s.elapsed().as_micros() as u64)
-            .unwrap_or(0);
+        // Both ends on the collector's clock, truncated the same way, so
+        // a child never appears to end after its parent.
+        let dur_us = collector.now_us().saturating_sub(self.start_us);
         let path = STACK.with(|s| {
             let mut stack = s.borrow_mut();
             let path = stack.join("/");

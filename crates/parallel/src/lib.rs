@@ -492,6 +492,17 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> Default for OnceMap<K, V> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that panic through the pool: each bumps the
+    /// process-global `fieldswap_grid_cells_{retried,failed}` counters
+    /// (once metrics are on), which the counter test diffs. Held for the
+    /// whole test; poisoning is ignored because a failed holder has
+    /// already reported its own failure.
+    static POOL_PANIC_LOCK: Mutex<()> = Mutex::new(());
+
+    fn pool_panic_lock() -> std::sync::MutexGuard<'static, ()> {
+        POOL_PANIC_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn par_map_matches_serial_output() {
         let serial: Vec<u64> = (0..57).map(|i| (i as u64).wrapping_mul(0x9E37)).collect();
@@ -515,6 +526,7 @@ mod tests {
 
     #[test]
     fn try_map_isolates_persistent_panic() {
+        let _serial = pool_panic_lock();
         for jobs in [1, 4] {
             let out = par_try_map_indexed(6, jobs, |i| {
                 if i == 3 {
@@ -537,6 +549,7 @@ mod tests {
 
     #[test]
     fn try_map_retries_transient_panic_once() {
+        let _serial = pool_panic_lock();
         // The slot panics only on its first attempt; the retry succeeds
         // and the caller sees a clean result.
         let attempts = AtomicUsize::new(0);
@@ -556,6 +569,7 @@ mod tests {
 
     #[test]
     fn try_map_reports_retry_and_failure_counters() {
+        let _serial = pool_panic_lock();
         fieldswap_obs::enable_metrics();
         let reg = fieldswap_obs::global().registry();
         let retried0 = reg.counter_value("fieldswap_grid_cells_retried");
@@ -576,6 +590,7 @@ mod tests {
 
     #[test]
     fn infallible_map_repanics_with_payload() {
+        let _serial = pool_panic_lock();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             par_map_indexed(2, 1, |i| {
                 if i == 1 {
