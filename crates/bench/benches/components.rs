@@ -3,7 +3,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fieldswap_core::{augment_document, find_phrase_matches, FieldSwapConfig, PairStrategy};
 use fieldswap_datagen::{generate, Domain};
-use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
+use fieldswap_extract::{Extractor, InferScratch, Lexicon, TrainConfig};
 use fieldswap_keyphrase::{ImportanceModel, ModelConfig};
 use fieldswap_nn::sparsemax;
 use fieldswap_ocr::LineDetector;
@@ -118,8 +118,11 @@ fn bench_extractor(c: &mut Criterion) {
         },
     );
     let doc = &train.documents[0];
+    // Freezing is one-time model preparation, not per-document work.
+    let frozen = ex.freeze();
+    let mut scratch = InferScratch::default();
     c.bench_function("extract/predict_doc", |b| {
-        b.iter(|| black_box(ex.predict(doc)))
+        b.iter(|| black_box(frozen.predict(doc, &mut scratch)))
     });
 
     c.bench_function("extract/train_10docs_1epoch", |b| {

@@ -11,9 +11,10 @@
 //! bench_gate serve --baseline BENCH_serve.json --current fresh.json [--max-regress 0.30]
 //! ```
 //!
-//! * `perf` fails when `extract_predict` or `infer_frozen` throughput
-//!   dropped by more than `--max-regress` (fraction, default 0.30)
-//!   versus the committed baseline.
+//! * `perf` fails when the throughput of any stage in
+//!   [`fieldswap_bench::gate::PERF_GATE_STAGES`] (`infer_frozen`,
+//!   `extract_train`, `nn_train`) dropped by more than `--max-regress`
+//!   (fraction, default 0.30) versus the committed baseline.
 //! * `quant` matches fig4 points by `(domain, size, arm)` between an
 //!   exact-f32 and a `--quantized` `fig4_macro_f1 --json` dump and fails
 //!   when any macro-F1 delta exceeds `--epsilon` (default

@@ -6,12 +6,9 @@
 //! * `extract_train` — averaged-perceptron training (50 Earnings docs +
 //!   expert-config synthetics, 5 epochs), the `train_mixed` path, min of
 //!   [`TRAIN_ITERS`] timed passes after a warm-up;
-//! * `extract_predict` — Viterbi + schema constraints over the hold-out
-//!   test set via the training-path decoder (`predict_with`), so the
-//!   number stays comparable with pre-frozen-path baselines;
-//! * `infer_frozen` — the same hold-out set through
-//!   `FrozenModel::predict` (the `extract::infer` fast path), min of
-//!   [`INFER_ITERS`] timed passes after a warm-up;
+//! * `infer_frozen` — Viterbi + schema constraints over the hold-out
+//!   test set through `FrozenModel::predict` (the crate's one decoder),
+//!   min of [`INFER_ITERS`] timed passes after a warm-up;
 //! * `infer_quantized` — as above through the int8-quantized table;
 //! * `nn_train` — importance-model pre-training (forward + backward per
 //!   candidate, one Adam step per batch), the `Tape` path, min of
@@ -36,12 +33,14 @@
 //! stages (training and inference alike) report the *minimum* wall time
 //! across timed passes after an untimed warm-up — the best proxy for
 //! the true cost on a noisy machine — plus the coefficient of variation
-//! across iterations so readers can judge how noisy the run was.
+//! across iterations so readers can judge how noisy the run was. The
+//! report opens with a machine fingerprint (CPU model, core count, SIMD
+//! level), since wall times only compare within one machine class.
 
 use fieldswap_core::augment_corpus;
 use fieldswap_datagen::{generate, generate_paper_splits, Domain};
 use fieldswap_eval::{evaluate, expert_config, Arm, Harness, HarnessOptions};
-use fieldswap_extract::{Extractor, InferScratch, Lexicon, PredictScratch, TrainConfig};
+use fieldswap_extract::{Extractor, InferScratch, Lexicon, TrainConfig};
 use fieldswap_keyphrase::{ImportanceModel, ModelConfig};
 use fieldswap_nn::{Init, ParamStore, Tape, Tensor};
 use serde::Serialize;
@@ -61,12 +60,10 @@ const FIG4_POINT_BASELINE_MS: f64 = 4940.0;
 const INFER_ITERS: usize = 30;
 
 /// Timed passes for the training stages (`extract_train`, `nn_train`,
-/// `harness_build`). Training passes cost hundreds of milliseconds
-/// each, so a smaller K than [`INFER_ITERS`] keeps the binary fast
-/// while still letting the min statistic shed scheduler noise — the
-/// single-shot numbers these stages used to report could swing by tens
-/// of percent on a loaded machine, which made them ungateable.
-const TRAIN_ITERS: usize = 3;
+/// `harness_build`). At K = 3 `extract_train` read a 45% cv against the
+/// 30% gate. On a shared 2-vCPU host it read 8–15% at K = 10 and 20,
+/// and a median of 9% at K = 30, for ~25 s of extra runtime.
+const TRAIN_ITERS: usize = 30;
 
 #[derive(Serialize)]
 struct StageReport {
@@ -144,19 +141,55 @@ struct Fig4PointReport {
     train_jobs: usize,
 }
 
+/// The machine the timings were taken on.
+#[derive(Serialize)]
+struct MachineReport {
+    /// `model name` of the first CPU in `/proc/cpuinfo` ("unknown"
+    /// elsewhere).
+    cpu: String,
+    /// Hardware threads available to this process.
+    nproc: usize,
+    /// Widest vector extension the decode kernels dispatch to:
+    /// `avx512f`, `avx2` or `scalar`.
+    simd: &'static str,
+}
+
+fn machine_report() -> MachineReport {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .and_then(|rest| rest.split_once(':'))
+                .map(|(_, name)| name.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    #[cfg(target_arch = "x86_64")]
+    let simd = if std::arch::is_x86_feature_detected!("avx512f") {
+        "avx512f"
+    } else if std::arch::is_x86_feature_detected!("avx2") {
+        "avx2"
+    } else {
+        "scalar"
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let simd = "scalar";
+    MachineReport { cpu, nproc, simd }
+}
+
 #[derive(Serialize)]
 struct PerfReport {
     /// Version of this JSON layout. 2 added observability; 3 added the
     /// `infer_frozen`/`infer_quantized` stages and the per-stage
     /// `iters`/`cv_pct` fields; 4 added the per-stage `jobs` field, the
     /// fig4 `train_jobs` field, and promoted the training stages from
-    /// single-shot timings to warm-up + min-of-K. Every bump is purely
-    /// additive (new fields only, all prior fields unchanged), so older
-    /// readers keep working.
+    /// single-shot timings to warm-up + min-of-K. 5 added `machine` and
+    /// dropped `extract_predict`, whose decoder no longer exists.
     schema_version: u32,
     seed: u64,
+    machine: MachineReport,
     extract_train: StageReport,
-    extract_predict: StageReport,
     infer_frozen: StageReport,
     infer_quantized: StageReport,
     nn_train: StageReport,
@@ -301,19 +334,6 @@ fn main() {
         * (sample.len() as f64 + (train_cfg.synth_ratio as f64 * sample.len() as f64).round());
     let extract_train = stage_report(&samples, visited, train_jobs);
 
-    // Stage: prediction over the hold-out set through the training-path
-    // decoder. `evaluate` now routes through the frozen fast path, so
-    // this stage times `predict_with` directly to keep its meaning (and
-    // its committed baseline) stable across commits.
-    let mut pscratch = PredictScratch::default();
-    let t0 = Instant::now();
-    for doc in &test.documents {
-        std::hint::black_box(extractor.predict_with(doc, &mut pscratch));
-    }
-    let extract_predict_ms = ms(t0);
-    record_stage("extract_predict", extract_predict_ms);
-    let extract_predict = stage_report(&[extract_predict_ms], test.len() as f64, 1);
-    // Scores come from the frozen path — the production eval route.
     let sanity_macro = evaluate(&extractor, &test).macro_f1();
 
     // Stages: the frozen fast path, exact f32 then int8-quantized.
@@ -461,10 +481,10 @@ fn main() {
     };
 
     let report = PerfReport {
-        schema_version: 4,
+        schema_version: 5,
         seed,
+        machine: machine_report(),
         extract_train,
-        extract_predict,
         infer_frozen,
         infer_quantized,
         nn_train,

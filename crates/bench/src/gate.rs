@@ -23,7 +23,7 @@ use serde_json::Value;
 /// One stage's throughput comparison in the perf gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageDelta {
-    /// Stage name (`extract_predict`, `infer_frozen`, ...).
+    /// Stage name (`infer_frozen`, `extract_train`, ...).
     pub stage: String,
     /// Baseline docs/sec from the committed report.
     pub baseline_dps: f64,
@@ -51,17 +51,13 @@ pub struct PointDelta {
     pub failed: bool,
 }
 
-/// The stages the perf gate watches. The decode paths are tight loops
-/// whose floor is stable, and since schema 4 the training stages are
-/// warm-up + min-of-K measurements rather than single shots, so their
-/// floor is stable enough to gate too. The remaining stages
-/// (`nn_forward`, `backward`, `harness_build`) stay informational.
-pub const PERF_GATE_STAGES: [&str; 4] = [
-    "extract_predict",
-    "infer_frozen",
-    "extract_train",
-    "nn_train",
-];
+/// The stages the perf gate watches. The decode path (`infer_frozen`,
+/// which times the crate's one decoder) is a tight loop whose floor is
+/// stable, and since schema 4 the training stages are warm-up + min-of-K
+/// measurements rather than single shots, so their floor is stable
+/// enough to gate too. The remaining stages (`nn_forward`, `backward`,
+/// `harness_build`) stay informational.
+pub const PERF_GATE_STAGES: [&str; 3] = ["infer_frozen", "extract_train", "nn_train"];
 
 fn stage_dps(report: &Value, stage: &str) -> Option<f64> {
     report.get(stage)?.get("docs_per_sec")?.as_f64()
@@ -328,10 +324,9 @@ mod tests {
         serde_json::from_str(text).expect("test JSON")
     }
 
-    fn report(predict_dps: f64, frozen_dps: f64, train_dps: f64, nn_train_dps: f64) -> Value {
+    fn report(frozen_dps: f64, train_dps: f64, nn_train_dps: f64) -> Value {
         parse(&format!(
-            r#"{{"schema_version": 4,
-                 "extract_predict": {{"wall_ms": 50.0, "docs_per_sec": {predict_dps}}},
+            r#"{{"schema_version": 5,
                  "infer_frozen": {{"wall_ms": 10.0, "docs_per_sec": {frozen_dps}}},
                  "extract_train": {{"wall_ms": 250.0, "docs_per_sec": {train_dps}, "iters": 3, "jobs": 1}},
                  "nn_train": {{"wall_ms": 800.0, "docs_per_sec": {nn_train_dps}, "iters": 3, "jobs": 1}}}}"#
@@ -341,35 +336,31 @@ mod tests {
     #[test]
     fn perf_gate_passes_within_tolerance() {
         let deltas = perf_gate(
-            &report(2400.0, 12000.0, 2800.0, 190.0),
-            &report(1700.0, 9000.0, 2100.0, 150.0),
+            &report(12000.0, 2800.0, 190.0),
+            &report(9000.0, 2100.0, 150.0),
             0.30,
         );
-        assert_eq!(deltas.len(), 4);
+        assert_eq!(deltas.len(), 3);
         assert!(deltas.iter().all(|d| !d.failed), "{deltas:?}");
-        // 21–29% regressions across the stages — inside the 30% budget.
-        assert!((deltas[0].regression - (2400.0 - 1700.0) / 2400.0).abs() < 1e-12);
+        // 21–25% regressions across the stages — inside the 30% budget.
+        assert!((deltas[0].regression - (12000.0 - 9000.0) / 12000.0).abs() < 1e-12);
     }
 
     #[test]
     fn perf_gate_fails_beyond_tolerance() {
-        let base = report(2400.0, 12000.0, 2800.0, 190.0);
-        let deltas = perf_gate(&base, &report(2400.0, 8000.0, 2800.0, 190.0), 0.30);
+        let base = report(12000.0, 2800.0, 190.0);
+        let deltas = perf_gate(&base, &report(8000.0, 2800.0, 190.0), 0.30);
         let frozen = deltas.iter().find(|d| d.stage == "infer_frozen").unwrap();
         assert!(frozen.failed);
-        let predict = deltas
-            .iter()
-            .find(|d| d.stage == "extract_predict")
-            .unwrap();
-        assert!(!predict.failed);
+        assert_eq!(deltas.iter().filter(|d| d.failed).count(), 1);
 
         // A training-stage collapse fails the gate on its own.
-        let deltas = perf_gate(&base, &report(2400.0, 12000.0, 1500.0, 190.0), 0.30);
+        let deltas = perf_gate(&base, &report(12000.0, 1500.0, 190.0), 0.30);
         let train = deltas.iter().find(|d| d.stage == "extract_train").unwrap();
         assert!(train.failed);
         assert!(deltas.iter().filter(|d| d.failed).count() == 1);
 
-        let deltas = perf_gate(&base, &report(2400.0, 12000.0, 2800.0, 90.0), 0.30);
+        let deltas = perf_gate(&base, &report(12000.0, 2800.0, 90.0), 0.30);
         let nn = deltas.iter().find(|d| d.stage == "nn_train").unwrap();
         assert!(nn.failed);
     }
@@ -377,8 +368,8 @@ mod tests {
     #[test]
     fn perf_gate_improvement_never_fails() {
         let deltas = perf_gate(
-            &report(2400.0, 12000.0, 2800.0, 190.0),
-            &report(9000.0, 50000.0, 9500.0, 700.0),
+            &report(12000.0, 2800.0, 190.0),
+            &report(50000.0, 9500.0, 700.0),
             0.30,
         );
         assert!(deltas.iter().all(|d| !d.failed));
@@ -387,18 +378,25 @@ mod tests {
 
     #[test]
     fn perf_gate_new_stage_passes_missing_current_fails() {
-        // Baseline predates the infer_frozen and gated training stages.
-        let old = parse(r#"{"extract_predict": {"docs_per_sec": 2400.0}}"#);
-        let deltas = perf_gate(&old, &report(2400.0, 12000.0, 2800.0, 190.0), 0.30);
-        for stage in ["infer_frozen", "extract_train", "nn_train"] {
+        // Baseline predates the gated training stages and still carries
+        // a stage the gate no longer watches (the retired
+        // `extract_predict`), which is ignored.
+        let old = parse(
+            r#"{"extract_predict": {"docs_per_sec": 2400.0},
+                "infer_frozen": {"docs_per_sec": 12000.0}}"#,
+        );
+        let deltas = perf_gate(&old, &report(12000.0, 2800.0, 190.0), 0.30);
+        assert_eq!(deltas.len(), 3);
+        assert!(deltas.iter().all(|d| d.stage != "extract_predict"));
+        for stage in ["extract_train", "nn_train"] {
             let d = deltas.iter().find(|d| d.stage == stage).unwrap();
             assert!(!d.failed, "new stage {stage} must not fail the gate");
             assert_eq!(d.baseline_dps, 0.0);
         }
 
         // Current run lost stages the baseline has: each fails.
-        let deltas = perf_gate(&report(2400.0, 12000.0, 2800.0, 190.0), &old, 0.30);
-        for stage in ["infer_frozen", "extract_train", "nn_train"] {
+        let deltas = perf_gate(&report(12000.0, 2800.0, 190.0), &old, 0.30);
+        for stage in ["extract_train", "nn_train"] {
             let d = deltas.iter().find(|d| d.stage == stage).unwrap();
             assert!(d.failed, "missing current stage {stage} must fail");
         }
@@ -409,12 +407,11 @@ mod tests {
         // A corrupt baseline with 0 docs/sec must not divide by zero or
         // auto-fail the stage.
         let zero = parse(
-            r#"{"extract_predict": {"docs_per_sec": 0.0},
-                "infer_frozen": {"docs_per_sec": 0.0},
+            r#"{"infer_frozen": {"docs_per_sec": 0.0},
                 "extract_train": {"docs_per_sec": 0.0},
                 "nn_train": {"docs_per_sec": 0.0}}"#,
         );
-        let deltas = perf_gate(&zero, &report(2400.0, 12000.0, 2800.0, 190.0), 0.30);
+        let deltas = perf_gate(&zero, &report(12000.0, 2800.0, 190.0), 0.30);
         assert!(deltas.iter().all(|d| !d.failed));
         assert!(deltas.iter().all(|d| d.regression == 0.0));
     }
@@ -580,12 +577,12 @@ mod tests {
     #[test]
     fn tables_render_every_row() {
         let deltas = perf_gate(
-            &report(2400.0, 12000.0, 2800.0, 190.0),
-            &report(2400.0, 8000.0, 2800.0, 190.0),
+            &report(12000.0, 2800.0, 190.0),
+            &report(8000.0, 2800.0, 190.0),
             0.30,
         );
         let table = render_perf_table(&deltas);
-        assert!(table.contains("extract_predict") && table.contains("infer_frozen"));
+        assert!(table.contains("infer_frozen"));
         assert!(table.contains("extract_train") && table.contains("nn_train"));
         assert!(table.contains("FAIL") && table.contains("ok"));
 

@@ -164,6 +164,8 @@ fn quick_grid_is_byte_identical_with_tracing_on() {
         "fieldswap_cache_misses_total{cache=\"phrase_cache\"}",
         "fieldswap_train_epochs_total",
         "fieldswap_train_epoch_ms",
+        "fieldswap_train_rows_total",
+        "fieldswap_train_row_writes_total",
         "fieldswap_eval_docs_total",
         "fieldswap_keyphrase_candidates_total",
         "fieldswap_worker_threads",

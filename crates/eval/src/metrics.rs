@@ -135,9 +135,8 @@ pub fn score_document(gold: &[EntitySpan], predictions: &[EntitySpan], fields: &
 }
 
 /// Evaluates a trained extractor end-to-end on `test` through the frozen
-/// inference fast path. The f32 frozen path is bitwise-identical to
-/// [`Extractor::predict`], so this returns exactly the scores the
-/// training-path decoder would.
+/// decoder, freezing once for the whole corpus; every prediction equals
+/// [`Extractor::predict`] on the same document.
 pub fn evaluate(extractor: &Extractor, test: &Corpus) -> EvalResult {
     evaluate_frozen(&extractor.freeze(), test)
 }

@@ -143,7 +143,9 @@ fn shape_into(text: &str, out: &mut String) {
     }
 }
 
-/// Pre-computed document structure + per-token feature lists.
+/// Per-token feature lists in nested form — the layout the naive test
+/// oracles (`viterbi_reference`, the reference trainer) consume.
+#[cfg(test)]
 pub struct DocFeatures {
     /// `features[t]` — hashed feature ids for token `t`.
     pub features: Vec<Vec<u64>>,
@@ -152,9 +154,8 @@ pub struct DocFeatures {
 }
 
 /// Flat per-document feature table: every token's hashed feature ids in
-/// one contiguous buffer plus `(offset, len)` spans — the inference-path
-/// counterpart of [`DocFeatures`]. Same ids in the same order, no
-/// per-token `Vec`, fully reusable across documents.
+/// one contiguous buffer plus `(offset, len)` spans. No per-token `Vec`,
+/// fully reusable across documents.
 #[derive(Default)]
 pub struct FlatFeatures {
     ids: Vec<u64>,
@@ -213,11 +214,10 @@ pub struct FeatureScratch {
     df_buf: String,
 }
 
-/// Extracts features for every token of `doc`.
-///
-/// Convenience wrapper over [`extract_into`] producing the nested
-/// [`DocFeatures`] layout the training path consumes; the ids are
-/// identical to the flat table's, row for row.
+/// Extracts features for every token of `doc` into the nested
+/// [`DocFeatures`] layout of the test oracles; the ids are identical to
+/// [`extract_into`]'s flat table, row for row.
+#[cfg(test)]
 pub fn extract(doc: &Document, lexicon: &Lexicon) -> DocFeatures {
     let mut scratch = FeatureScratch::default();
     let mut flat = FlatFeatures::default();

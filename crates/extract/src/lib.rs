@@ -36,7 +36,7 @@ pub mod tags;
 
 pub use infer::{FrozenModel, InferScratch};
 pub use lexicon::Lexicon;
-pub use model::{Extractor, PredictScratch, TrainConfig, TrainReport};
+pub use model::{Extractor, TrainConfig, TrainReport};
 pub use serialize::{ModelIoError, ModelParts};
 pub use tags::TagSet;
 

@@ -7,15 +7,23 @@
 //! schema's single-instance constraint by keeping the best-scoring span
 //! per field (Section II-C: constraints at inference time only).
 //!
-//! Hot-path layout: the `(feature, tag)` bucket indices of a document are
-//! interned once into a [`DocBuckets`] table, so every Viterbi sweep and
-//! perceptron update is a gather-and-sum over flat `&[u32]` slices instead
-//! of re-hashing. Viterbi itself runs on a reusable [`ViterbiScratch`]
-//! (two score rows + one flat backpointer matrix) and allocates nothing
-//! per document once warm. Results are bit-identical to the naive
-//! implementation (see `viterbi_reference` in the tests).
+//! Training decodes through the same structure-of-arrays kernels as
+//! inference ([`crate::infer`]'s emission-row step and permuted-layout
+//! Viterbi). A run interns every feature it visits once into a *live row
+//! table* — row `i`, column `c` holds `w[bucket(f_i, inv[c])]` — and each
+//! document becomes flat `u32` row-id lists. Every weight update is
+//! written through to all row entries whose `(feature, tag)` hashes to
+//! the updated bucket (distinct pairs alias in the 2^20-bucket table), and
+//! every transition update to the layout, so the rows stay bit-equal to
+//! the hashed weights. The hashed `w`/`trans` tables and their averaging
+//! accumulators stay the model of record: averaging, freezing and
+//! serialization read only them. The trained model is bit-identical to
+//! the naive hashed-gather trainer the tests keep as their oracle.
 
+#[cfg(test)]
 use crate::features::{extract, gate_allows, DocFeatures};
+use crate::features::{extract_into, FeatureScratch, FlatFeatures};
+use crate::infer::{DecodeBufs, DecodeLayout, InferScratch, RowCache};
 use crate::lexicon::Lexicon;
 use crate::tags::{TagId, TagSet};
 use fieldswap_docmodel::{BaseType, Corpus, Document, EntitySpan, Schema};
@@ -25,6 +33,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// log2 of the emission weight-table size (2^20 = ~1M buckets).
 const WEIGHT_BITS: u32 = 20;
@@ -50,10 +59,6 @@ pub(crate) const NEG: f32 = -1e30;
 /// keeps the rest of its window's speculative decodes valid, so warm
 /// epochs — where mispredictions are rare — parallelize almost fully.
 pub const TRAIN_BATCH: usize = 8;
-
-/// Cached training inputs for one synthetic document: extracted
-/// features plus the gold tag sequence.
-type SynthFeats = (DocFeatures, Vec<TagId>);
 
 /// Training configuration.
 ///
@@ -150,44 +155,213 @@ fn recovery_seed(seed: u64, epoch: u64, attempt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Precomputed `(feature, tag)` weight-table indices for one document.
-///
-/// For token `t` with `k` features, the table holds `n_tags` contiguous
-/// rows of `k` bucket indices each; `row(t, tag)` is the gather list whose
-/// weight sum is the emission score of `tag` at `t`. Rows for tags blocked
-/// by the token's type gate are left unfilled (never read) unless they are
-/// the gold tag of a training document.
-#[derive(Default)]
-pub struct DocBuckets {
-    /// `(flat offset, feature count)` per token.
-    spans: Vec<(u32, u32)>,
-    flat: Vec<u32>,
+/// One training document interned into the live row table.
+struct TrainDoc {
+    /// Row id of every feature, token-major, in extraction order.
+    rows: Vec<u32>,
+    /// End offset into `rows` of each token's features.
+    ends: Vec<u32>,
+    /// Type-gate mask per token.
     gates: Vec<u8>,
-    n_tags: usize,
+    /// Gold tag per token.
+    gold: Vec<TagId>,
 }
 
-impl DocBuckets {
-    fn n_tokens(&self) -> usize {
-        self.spans.len()
-    }
+/// Marks an empty alias-index slot and the end of an entry chain.
+const NO_ENTRY: u32 = u32::MAX;
 
-    #[inline]
-    fn row(&self, t: usize, tag: TagId) -> &[u32] {
-        let (start, k) = self.spans[t];
-        let s = start as usize + tag as usize * k as usize;
-        &self.flat[s..s + k as usize]
-    }
-}
-
-/// Reusable Viterbi working memory: two score rows swapped per step plus
-/// one flat `n x n_tags` backpointer matrix. The decoded sequence lands in
-/// `tags`.
+/// Bucket-to-entries index of the live row table: which row entries
+/// (positions in the row buffer) each weight bucket feeds. An
+/// open-addressed map from bucket to the head of its chain, with the
+/// chains threaded through `next` (one link per row-buffer position).
+/// Sized by the run's interned entries, not by the weight table.
 #[derive(Default)]
-pub struct ViterbiScratch {
-    score: Vec<f32>,
-    next: Vec<f32>,
-    back: Vec<u16>,
-    tags: Vec<TagId>,
+struct AliasIndex {
+    keys: Vec<u32>,
+    /// Chain head per slot; [`NO_ENTRY`] marks an empty slot.
+    heads: Vec<u32>,
+    len: usize,
+    /// `next[pos]`: the next entry fed by the same bucket as `pos`.
+    next: Vec<u32>,
+}
+
+impl AliasIndex {
+    /// The slot holding bucket `b`, or the empty slot where it belongs.
+    #[inline]
+    fn slot(&self, b: u32) -> usize {
+        // Multiply-shift (Fibonacci) hashing: buckets are already mixed
+        // hash outputs, so one multiply spreads them well enough.
+        let mask = self.heads.len() - 1;
+        let mut i = (u64::from(b).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while self.heads[i] != NO_ENTRY && self.keys[i] != b {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Links row-buffer position `pos` into bucket `b`'s chain.
+    fn push(&mut self, b: u32, pos: u32) {
+        if (self.len + 1) * 4 > self.heads.len() * 3 {
+            self.grow();
+        }
+        let i = self.slot(b);
+        if self.heads[i] == NO_ENTRY {
+            self.keys[i] = b;
+            self.len += 1;
+        }
+        self.next[pos as usize] = self.heads[i];
+        self.heads[i] = pos;
+    }
+
+    /// The first entry fed by bucket `b` ([`NO_ENTRY`] when none is).
+    #[inline]
+    fn head(&self, b: u32) -> u32 {
+        if self.heads.is_empty() {
+            return NO_ENTRY;
+        }
+        self.heads[self.slot(b)]
+    }
+
+    fn grow(&mut self) {
+        let cap = (self.heads.len() * 2).max(1024);
+        let keys = std::mem::replace(&mut self.keys, vec![0; cap]);
+        let heads = std::mem::replace(&mut self.heads, vec![NO_ENTRY; cap]);
+        for (k, h) in keys.into_iter().zip(heads) {
+            if h != NO_ENTRY {
+                let i = self.slot(k);
+                self.keys[i] = k;
+                self.heads[i] = h;
+            }
+        }
+    }
+}
+
+/// The trainer's live row table: every feature a run visits, interned
+/// once, each row holding that feature's current weight for every tag in
+/// the decode layout's column order. [`LiveRows::write_through`] keeps it
+/// equal to the hashed weights.
+struct LiveRows {
+    cache: RowCache,
+    /// Feature id of each row.
+    fids: Vec<u64>,
+    alias: AliasIndex,
+    /// Row entries stored by write-throughs.
+    writes: u64,
+    /// Write-throughs that stored into more than one entry (an aliased
+    /// bucket).
+    aliased_writes: u64,
+}
+
+impl LiveRows {
+    fn new(stride: usize) -> Self {
+        let mut cache = RowCache::default();
+        cache.reset(stride);
+        LiveRows {
+            cache,
+            fids: Vec::new(),
+            alias: AliasIndex::default(),
+            writes: 0,
+            aliased_writes: 0,
+        }
+    }
+
+    fn rows(&self) -> &[f32] {
+        &self.cache.rows
+    }
+
+    /// The row of feature `fid`, interning it (filled from `w`) on first
+    /// sight.
+    fn row_of(&mut self, layout: &DecodeLayout, w: &[f32], fid: u64) -> u32 {
+        let (idx, inserted) = self.cache.get_or_insert(fid);
+        if inserted {
+            self.fids.push(fid);
+            self.alias.next.resize(self.cache.rows.len(), NO_ENTRY);
+            let base = idx as usize * layout.stride();
+            for (c, b) in layout.row_buckets(fid).enumerate() {
+                self.cache.rows[base + c] = w[b];
+                let pos = u32::try_from(base + c).expect("row table outgrew u32 positions");
+                self.alias.push(b as u32, pos);
+            }
+        }
+        idx
+    }
+
+    /// Interns one extracted document with its gold tags.
+    fn intern(
+        &mut self,
+        layout: &DecodeLayout,
+        w: &[f32],
+        feats: &FlatFeatures,
+        gold: Vec<TagId>,
+    ) -> TrainDoc {
+        let n = feats.n_tokens();
+        let mut doc = TrainDoc {
+            rows: Vec::new(),
+            ends: Vec::with_capacity(n),
+            gates: feats.gates().to_vec(),
+            gold,
+        };
+        for t in 0..n {
+            for &fid in feats.row(t) {
+                doc.rows.push(self.row_of(layout, w, fid));
+            }
+            doc.ends.push(doc.rows.len() as u32);
+        }
+        doc
+    }
+
+    /// Stores `v`, the new value of weight bucket `b`, into every row
+    /// entry that bucket feeds.
+    #[inline]
+    fn write_through(&mut self, b: usize, v: f32) {
+        let mut pos = self.alias.head(b as u32);
+        let mut stored = 0u64;
+        while pos != NO_ENTRY {
+            self.cache.rows[pos as usize] = v;
+            stored += 1;
+            pos = self.alias.next[pos as usize];
+        }
+        self.writes += stored;
+        self.aliased_writes += u64::from(stored > 1);
+    }
+
+    /// Reloads every row entry from `w` (after the weights were reset or
+    /// scrubbed outside the update path).
+    fn resync(&mut self, w: &[f32]) {
+        for (&b, &head) in self.alias.keys.iter().zip(&self.alias.heads) {
+            let mut pos = head;
+            while pos != NO_ENTRY {
+                self.cache.rows[pos as usize] = w[b as usize];
+                pos = self.alias.next[pos as usize];
+            }
+        }
+    }
+}
+
+/// Decodes one interned document into `b.tags`: the emission-row step per
+/// token, then the permuted-layout Viterbi.
+fn decode(layout: &DecodeLayout, rows: &[f32], doc: &TrainDoc, b: &mut DecodeBufs) {
+    let n = doc.ends.len();
+    layout.reserve(b, n);
+    let mut start = 0usize;
+    for (t, (&end, &gate)) in doc.ends.iter().zip(&doc.gates).enumerate() {
+        layout.emission_row(b, t, rows, &doc.rows[start..end as usize], gate);
+        start = end as usize;
+    }
+    layout.viterbi(b, n);
+}
+
+/// Visits one epoch's plan against an extractor's weights. The epoch
+/// schedule ([`Extractor::run_schedule`]) drives the trainer through this
+/// seam, so the tests can drive the naive reference trainer through the
+/// very same schedule.
+trait EpochRunner {
+    /// Decodes every `(is_synthetic, index)` entry of `plan` in order,
+    /// updating `ex` on each misprediction; returns the summed margins.
+    fn run_epoch(&mut self, ex: &mut Extractor, plan: &[(bool, usize)]) -> f64;
+    /// Re-reads any derived state after `ex`'s weights were reset or
+    /// scrubbed.
+    fn resync(&mut self, ex: &Extractor);
 }
 
 /// Per-window working state of one plan entry during the parallel
@@ -195,23 +369,262 @@ pub struct ViterbiScratch {
 /// across windows, so a warm slot decodes without allocating.
 #[derive(Default)]
 struct TrainSlot {
-    /// Bucket table for synthetic entries (originals decode from the
-    /// tables interned once up front).
-    bk: DocBuckets,
-    /// Viterbi buffers; the decoded tags stay in `vit.tags` until the
+    /// Decode buffers; the decoded tags stay in `dec.tags` until the
     /// merge phase has replayed the entry.
-    vit: ViterbiScratch,
+    dec: DecodeBufs,
     /// Whether the decode disagreed with gold (an update is due).
     mispredicted: bool,
 }
 
-/// Reusable prediction working memory ([`Extractor::predict_with`]):
-/// holds the bucket table and Viterbi scratch so batch prediction (e.g.
-/// evaluation sweeps) allocates per document only the feature lists.
+/// Reusable working memory for extracting one first-visit synthetic.
 #[derive(Default)]
-pub struct PredictScratch {
-    buckets: DocBuckets,
-    viterbi: ViterbiScratch,
+struct FeatSlot {
+    scratch: FeatureScratch,
+    feats: FlatFeatures,
+    gold: Vec<TagId>,
+}
+
+/// Run-local counters, flushed to the metrics registry once per run.
+#[derive(Default)]
+struct TrainCounters {
+    decodes: u64,
+    updates: u64,
+    synth_hits: u64,
+    synth_misses: u64,
+    batches: u64,
+    replays: u64,
+}
+
+/// The production trainer: decodes through the shared layout over the
+/// live row table, speculatively in parallel windows.
+struct LiveTrainer<'a> {
+    synthetics: &'a [&'a Document],
+    layout: DecodeLayout,
+    live: LiveRows,
+    originals: Vec<TrainDoc>,
+    /// Synthetics, interned on first visit.
+    synth: Vec<Option<TrainDoc>>,
+    /// Decode workers. With `train_jobs <= 1` the pool is threadless and
+    /// every closure runs inline on this thread.
+    pool: WorkerPool,
+    /// One decode slot per window position; grow-only.
+    slots: Vec<Mutex<TrainSlot>>,
+    /// Extraction slots for a window's first-visit synthetics, plus the
+    /// list of their indices.
+    feat_slots: Vec<Mutex<FeatSlot>>,
+    uncached: Vec<usize>,
+    /// Decode buffers of the serial path and of merge-phase re-decodes.
+    serial: DecodeBufs,
+    /// Per-worker decode counts (utilization).
+    worker_docs: Vec<AtomicU64>,
+    /// Whether metrics are on (gates the clock reads).
+    timing: bool,
+    counters: TrainCounters,
+}
+
+impl<'a> LiveTrainer<'a> {
+    /// Builds the layout and row table for `ex` and interns the
+    /// originals, which every epoch visits.
+    fn new(
+        ex: &Extractor,
+        originals: &[&Document],
+        synthetics: &'a [&'a Document],
+        train_jobs: usize,
+    ) -> Self {
+        let layout = DecodeLayout::new(&ex.tags, &ex.field_types, &ex.trans);
+        let mut live = LiveRows::new(layout.stride());
+        let mut scratch = FeatureScratch::default();
+        let mut feats = FlatFeatures::default();
+        let originals = originals
+            .iter()
+            .map(|d| {
+                extract_into(d, &ex.lexicon, &mut scratch, &mut feats);
+                live.intern(&layout, &ex.w, &feats, ex.tags.encode(d))
+            })
+            .collect();
+        let pool = WorkerPool::new(train_jobs);
+        let worker_docs = (0..pool.jobs()).map(|_| AtomicU64::new(0)).collect();
+        LiveTrainer {
+            synthetics,
+            layout,
+            live,
+            originals,
+            synth: (0..synthetics.len()).map(|_| None).collect(),
+            pool,
+            slots: Vec::new(),
+            feat_slots: Vec::new(),
+            uncached: Vec::new(),
+            serial: DecodeBufs::default(),
+            worker_docs,
+            timing: fieldswap_obs::metrics_enabled(),
+            counters: TrainCounters::default(),
+        }
+    }
+
+    /// Flushes the run's counters in one batch, so the hot loop never
+    /// takes the registry lock.
+    fn flush_counters(&self, epochs: usize) {
+        let c = &self.counters;
+        fieldswap_obs::counter_add("fieldswap_train_epochs_total", epochs as u64);
+        fieldswap_obs::counter_add("fieldswap_train_decodes_total", c.decodes);
+        fieldswap_obs::counter_add("fieldswap_train_updates_total", c.updates);
+        fieldswap_obs::counter_add("fieldswap_synth_feature_cache_hits_total", c.synth_hits);
+        fieldswap_obs::counter_add("fieldswap_synth_feature_cache_misses_total", c.synth_misses);
+        fieldswap_obs::counter_add("fieldswap_train_batches_total", c.batches);
+        fieldswap_obs::counter_add("fieldswap_train_replayed_decodes_total", c.replays);
+        fieldswap_obs::counter_add("fieldswap_train_rows_total", self.live.fids.len() as u64);
+        fieldswap_obs::counter_add("fieldswap_train_row_writes_total", self.live.writes);
+        for (w, docs) in self.worker_docs.iter().enumerate() {
+            fieldswap_obs::counter_add(
+                &format!("fieldswap_train_worker_docs_total{{worker=\"{w}\"}}"),
+                docs.load(Ordering::Relaxed),
+            );
+        }
+    }
+}
+
+fn doc_of<'d>(
+    originals: &'d [TrainDoc],
+    synth: &'d [Option<TrainDoc>],
+    (is_synth, i): (bool, usize),
+) -> &'d TrainDoc {
+    if is_synth {
+        synth[i].as_ref().expect("interned before decoding")
+    } else {
+        &originals[i]
+    }
+}
+
+impl EpochRunner for LiveTrainer<'_> {
+    fn run_epoch(&mut self, ex: &mut Extractor, plan: &[(bool, usize)]) -> f64 {
+        let LiveTrainer {
+            synthetics,
+            layout,
+            live,
+            originals,
+            synth,
+            pool,
+            slots,
+            feat_slots,
+            uncached,
+            serial,
+            worker_docs,
+            timing,
+            counters,
+        } = self;
+        counters.decodes += plan.len() as u64;
+        let mut loss = 0.0f64;
+        let mut merge_ms = 0.0f64;
+        for window in plan.chunks(TRAIN_BATCH) {
+            counters.batches += 1;
+            // Intern this window's first-visit synthetics before the
+            // decode phase, which only reads the row table: extract in
+            // parallel, intern serially in window order.
+            uncached.clear();
+            for &(is_synth, i) in window {
+                if !is_synth {
+                    continue;
+                }
+                if synth[i].is_some() || uncached.contains(&i) {
+                    counters.synth_hits += 1;
+                } else {
+                    uncached.push(i);
+                    counters.synth_misses += 1;
+                }
+            }
+            if !uncached.is_empty() {
+                while feat_slots.len() < uncached.len() {
+                    feat_slots.push(Mutex::new(FeatSlot::default()));
+                }
+                let (lexicon, tags, todo) = (&ex.lexicon, &ex.tags, &*uncached);
+                pool.for_each_slot(&feat_slots[..todo.len()], |_, j, slot| {
+                    let d = synthetics[todo[j]];
+                    extract_into(d, lexicon, &mut slot.scratch, &mut slot.feats);
+                    slot.gold = tags.encode(d);
+                });
+                for (slot, &i) in feat_slots.iter_mut().zip(todo) {
+                    let slot = slot.get_mut().expect("slot poisoned");
+                    let gold = std::mem::take(&mut slot.gold);
+                    synth[i] = Some(live.intern(layout, &ex.w, &slot.feats, gold));
+                }
+            }
+            // One-thread reference path: decode with the current weights
+            // and update immediately — the textbook online perceptron.
+            // The speculative path below reproduces exactly this update
+            // sequence; running it on one thread would just decode twice.
+            if pool.jobs() <= 1 {
+                let merge_t0 = timing.then(Instant::now);
+                worker_docs[0].fetch_add(window.len() as u64, Ordering::Relaxed);
+                for &entry in window {
+                    let doc = doc_of(originals, synth, entry);
+                    decode(layout, live.rows(), doc, serial);
+                    if serial.tags != doc.gold {
+                        loss += ex.update(live, layout, doc, &serial.tags);
+                        counters.updates += 1;
+                    }
+                }
+                if let Some(t0) = merge_t0 {
+                    merge_ms += t0.elapsed().as_secs_f64() * 1e3;
+                }
+                continue;
+            }
+            // Decode phase: every entry of the window is decoded against
+            // the rows as they stood at window start, on whichever worker
+            // claims it first. Nothing writes the rows during this phase.
+            while slots.len() < window.len() {
+                slots.push(Mutex::new(TrainSlot::default()));
+            }
+            {
+                let (layout, rows, originals, synth) =
+                    (&*layout, live.rows(), &*originals, &*synth);
+                let worker_docs = &*worker_docs;
+                pool.for_each_slot(&slots[..window.len()], |worker, item, slot| {
+                    worker_docs[worker].fetch_add(1, Ordering::Relaxed);
+                    let doc = doc_of(originals, synth, window[item]);
+                    decode(layout, rows, doc, &mut slot.dec);
+                    slot.mispredicted = slot.dec.tags != doc.gold;
+                });
+            }
+            // Merge phase, serial and in plan order. A window's
+            // speculative decode is valid exactly until the first weight
+            // update inside the window; from that point on each document
+            // is re-decoded over the written-through rows. The applied
+            // update sequence is therefore identical to the one-thread
+            // path above for every jobs setting.
+            let merge_t0 = timing.then(Instant::now);
+            let mut dirty = false;
+            for (slot, &entry) in slots.iter_mut().zip(window) {
+                let doc = doc_of(originals, synth, entry);
+                if dirty {
+                    counters.replays += 1;
+                    decode(layout, live.rows(), doc, serial);
+                    if serial.tags != doc.gold {
+                        loss += ex.update(live, layout, doc, &serial.tags);
+                        counters.updates += 1;
+                    }
+                } else {
+                    let slot = slot.get_mut().expect("slot poisoned");
+                    if slot.mispredicted {
+                        loss += ex.update(live, layout, doc, &slot.dec.tags);
+                        counters.updates += 1;
+                        dirty = true;
+                    }
+                }
+            }
+            if let Some(t0) = merge_t0 {
+                merge_ms += t0.elapsed().as_secs_f64() * 1e3;
+            }
+        }
+        if *timing {
+            fieldswap_obs::observe("fieldswap_train_merge_ms", merge_ms);
+        }
+        loss
+    }
+
+    fn resync(&mut self, ex: &Extractor) {
+        self.live.resync(&ex.w);
+        self.layout.load_trans(&ex.trans);
+    }
 }
 
 /// The sequence-labeling extractor.
@@ -294,164 +707,58 @@ impl Extractor {
         &self.train_report
     }
 
-    /// Emission score via the precomputed bucket table: a pure
-    /// gather-and-sum, in the same feature order as hashing on the fly
-    /// (bit-identical `f32` accumulation).
-    #[inline]
-    fn emission_bk(&self, bk: &DocBuckets, t: usize, tag: TagId) -> f32 {
-        bk.row(t, tag).iter().map(|&b| self.w[b as usize]).sum()
-    }
-
-    /// Whether `tag` is admissible for a token with gate `mask`.
-    fn tag_allowed(&self, tag: TagId, mask: u8) -> bool {
-        match self.tags.parts(tag) {
-            None => true,
-            Some((f, _)) => gate_allows(mask, self.field_types[f as usize]),
-        }
-    }
-
-    /// Interns the document's `(feature, tag)` bucket indices into `out`
-    /// (reusing its allocations). Rows are filled for gate-admissible tags
-    /// — the only rows Viterbi and the schema constraints ever read — plus
-    /// each position's gold tag when `gold` is given: training updates
-    /// touch gold rows even where the gate disagrees with the annotation.
-    fn fill_buckets(&self, feats: &DocFeatures, gold: Option<&[TagId]>, out: &mut DocBuckets) {
-        let n_tags = self.tags.len();
-        let n = feats.features.len();
-        out.n_tags = n_tags;
-        out.spans.clear();
-        out.gates.clear();
-        out.gates.extend_from_slice(&feats.gates);
-        let total: usize = feats.features.iter().map(|f| f.len() * n_tags).sum();
-        out.flat.clear();
-        out.flat.resize(total, 0);
-        let mut start = 0usize;
-        for t in 0..n {
-            let fs = &feats.features[t];
-            let k = fs.len();
-            out.spans.push((start as u32, k as u32));
-            for tag in 0..n_tags as u16 {
-                if self.tag_allowed(tag, feats.gates[t]) || gold.is_some_and(|g| g[t] == tag) {
-                    let row = &mut out.flat[start + tag as usize * k..][..k];
-                    for (slot, &f) in row.iter_mut().zip(fs) {
-                        *slot = bucket(f, tag) as u32;
-                    }
-                }
-            }
-            start += k * n_tags;
-        }
-    }
-
-    /// Viterbi decoding over the legal-transition structure, writing the
-    /// best tag sequence into `sc.tags`. All working memory lives in `sc`;
-    /// a warm scratch performs no allocation.
-    fn viterbi_into(&self, bk: &DocBuckets, sc: &mut ViterbiScratch) {
-        let n = bk.n_tokens();
-        let n_tags = self.tags.len();
-        sc.tags.clear();
-        if n == 0 {
-            return;
-        }
-        sc.score.clear();
-        sc.score.resize(n_tags, NEG);
-        sc.next.clear();
-        sc.next.resize(n_tags, NEG);
-        sc.back.clear();
-        sc.back.resize(n * n_tags, 0);
-
-        // Emission, gated: blocked rows of the bucket table are unfilled,
-        // so the gate check must come first.
-        let emis = |t: usize, tag: TagId| -> f32 {
-            if self.tag_allowed(tag, bk.gates[t]) {
-                self.emission_bk(bk, t, tag)
-            } else {
-                NEG
-            }
-        };
-
-        for tag in 0..n_tags as u16 {
-            if self.tags.can_start(tag) {
-                sc.score[tag as usize] = emis(0, tag);
-            }
-        }
-
-        for t in 1..n {
-            for v in sc.next.iter_mut() {
-                *v = NEG;
-            }
-            for tag in 0..n_tags as u16 {
-                let e = emis(t, tag);
-                if e <= NEG {
-                    continue;
-                }
-                let mut best = NEG;
-                let mut best_prev = 0u16;
-                for &prev in self.tags.prev_allowed(tag) {
-                    let s = sc.score[prev as usize];
-                    if s <= NEG {
-                        continue;
-                    }
-                    let cand = s + self.trans[prev as usize * n_tags + tag as usize];
-                    if cand > best {
-                        best = cand;
-                        best_prev = prev;
-                    }
-                }
-                if best > NEG {
-                    sc.next[tag as usize] = best + e;
-                    sc.back[t * n_tags + tag as usize] = best_prev;
-                }
-            }
-            std::mem::swap(&mut sc.score, &mut sc.next);
-        }
-
-        // Pick the best legal final tag.
-        let mut best_tag = 0u16;
-        let mut best = NEG;
-        for tag in 0..n_tags as u16 {
-            if self.tags.can_end(tag) && sc.score[tag as usize] > best {
-                best = sc.score[tag as usize];
-                best_tag = tag;
-            }
-        }
-        sc.tags.resize(n, 0);
-        sc.tags[n - 1] = best_tag;
-        for t in (1..n).rev() {
-            sc.tags[t - 1] = sc.back[t * n_tags + sc.tags[t] as usize];
-        }
-    }
-
     /// Applies one perceptron update and returns the pre-update hinge
     /// margin over the touched cells (predicted score minus gold score
     /// under the weights as they stood before this update). The per-epoch
     /// sum is the divergence signal watched by
     /// [`Extractor::train_mixed`]: a healthy run keeps it finite, and a
     /// corrupted weight table surfaces as `NaN`/`inf` here.
-    fn update(&mut self, bk: &DocBuckets, gold: &[TagId], pred: &[TagId]) -> f64 {
+    ///
+    /// Buckets are hashed only at mispredicted tokens, and every changed
+    /// weight is written through to `live` and every changed transition
+    /// to `layout`, so the next decode sees exactly the hashed tables.
+    fn update(
+        &mut self,
+        live: &mut LiveRows,
+        layout: &mut DecodeLayout,
+        doc: &TrainDoc,
+        pred: &[TagId],
+    ) -> f64 {
         self.step += 1;
         let n_tags = self.tags.len();
         let step = self.step as f64;
+        let gold = &doc.gold;
         let mut margin = 0.0f64;
+        let mut start = 0usize;
         for t in 0..gold.len() {
+            let end = doc.ends[t] as usize;
             if gold[t] != pred[t] {
-                let grow = bk.row(t, gold[t]);
-                let prow = bk.row(t, pred[t]);
-                for (&bg, &bp) in grow.iter().zip(prow) {
-                    margin += f64::from(self.w[bp as usize] - self.w[bg as usize]);
-                    self.w[bg as usize] += 1.0;
-                    self.w_acc[bg as usize] += step;
-                    self.w[bp as usize] -= 1.0;
-                    self.w_acc[bp as usize] -= step;
+                for &r in &doc.rows[start..end] {
+                    let f = live.fids[r as usize];
+                    let bg = bucket(f, gold[t]);
+                    let bp = bucket(f, pred[t]);
+                    margin += f64::from(self.w[bp] - self.w[bg]);
+                    self.w[bg] += 1.0;
+                    self.w_acc[bg] += step;
+                    live.write_through(bg, self.w[bg]);
+                    self.w[bp] -= 1.0;
+                    self.w_acc[bp] -= step;
+                    live.write_through(bp, self.w[bp]);
                 }
             }
+            start = end;
             if t > 0 && (gold[t] != pred[t] || gold[t - 1] != pred[t - 1]) {
-                let ig = gold[t - 1] as usize * n_tags + gold[t] as usize;
-                let ip = pred[t - 1] as usize * n_tags + pred[t] as usize;
+                let (g0, g1) = (gold[t - 1] as usize, gold[t] as usize);
+                let (p0, p1) = (pred[t - 1] as usize, pred[t] as usize);
+                let ig = g0 * n_tags + g1;
+                let ip = p0 * n_tags + p1;
                 margin += f64::from(self.trans[ip] - self.trans[ig]);
                 self.trans[ig] += 1.0;
                 self.trans_acc[ig] += step;
                 self.trans[ip] -= 1.0;
                 self.trans_acc[ip] -= step;
+                layout.set_trans(g0, g1, self.trans[ig]);
+                layout.set_trans(p0, p1, self.trans[ip]);
             }
         }
         margin
@@ -501,111 +808,80 @@ impl Extractor {
         synthetics: &[&Document],
         cfg: &TrainConfig,
     ) {
+        self.train_live(originals, synthetics, cfg);
+    }
+
+    /// [`Extractor::train_mixed`], returning the run's live row table
+    /// for inspection.
+    fn train_live(
+        &mut self,
+        originals: &[&Document],
+        synthetics: &[&Document],
+        cfg: &TrainConfig,
+    ) -> Option<LiveRows> {
         assert!(!self.averaged, "extractor already finalized");
-        let n = originals.len();
-        if n == 0 {
+        if originals.is_empty() {
             self.finalize_average();
-            return;
+            return None;
         }
-        // Observability: per-epoch wall time plus decode/update/cache
-        // counters, batched into one registry call per training run so
-        // the hot loop never takes the registry lock. `timing` gates the
-        // per-epoch clock reads; the local `u64` adds are free.
+        let mut runner = LiveTrainer::new(self, originals, synthetics, cfg.train_jobs);
+        self.train_report = self.run_schedule(originals.len(), synthetics.len(), cfg, &mut runner);
+        if runner.timing {
+            runner.flush_counters(cfg.epochs);
+        }
+        self.finalize_average();
+        Some(runner.live)
+    }
+
+    /// The epoch schedule: builds each epoch's shuffled visiting plan and
+    /// hands it to `runner`, watching the epoch loss for divergence.
+    ///
+    /// Divergence recovery (restart-with-replay): when an epoch's loss
+    /// goes non-finite, reset the weights and replay training from epoch
+    /// 0 drawing the *same* rng stream, then perturb only the diverged
+    /// epoch's visiting order with an extra shuffle from a derived
+    /// recovery seed. A clean run draws zero extra random numbers, so the
+    /// hardened path is bit-identical to the plain trainer.
+    fn run_schedule(
+        &mut self,
+        n: usize,
+        n_synth: usize,
+        cfg: &TrainConfig,
+        runner: &mut impl EpochRunner,
+    ) -> TrainReport {
         let timing = fieldswap_obs::metrics_enabled();
-        let mut obs_decodes = 0u64;
-        let mut obs_updates = 0u64;
-        let mut obs_synth_feat_hits = 0u64;
-        let mut obs_synth_feat_misses = 0u64;
-        // Originals are visited every epoch: intern their bucket tables
-        // once up front (the feature lists themselves are no longer needed
-        // after interning).
-        let mut buckets_orig: Vec<DocBuckets> = Vec::with_capacity(n);
-        let mut golds_orig: Vec<Vec<TagId>> = Vec::with_capacity(n);
-        for d in originals {
-            let f = extract(d, &self.lexicon);
-            let g = self.tags.encode(d);
-            let mut bk = DocBuckets::default();
-            self.fill_buckets(&f, Some(&g), &mut bk);
-            buckets_orig.push(bk);
-            golds_orig.push(g);
-        }
-        // Synthetic features are extracted lazily per epoch slice and
-        // cached, so huge synthetic pools cost only what is visited. Their
-        // bucket tables are NOT cached (a table is ~n_tags x the feature
-        // list in size, too big for thousand-document pools); each visit
-        // re-interns into a reusable per-slot scratch table.
-        let mut feats_synth: Vec<Option<SynthFeats>> =
-            (0..synthetics.len()).map(|_| None).collect();
-        let per_epoch_synths = if synthetics.is_empty() {
+        let per_epoch_synths = if n_synth == 0 {
             0
         } else {
             ((cfg.synth_ratio * n as f32).round() as usize)
                 .max(1)
-                .min(synthetics.len().max(1) * cfg.epochs)
+                .min(n_synth * cfg.epochs)
         };
-        let extra_repeats = if synthetics.is_empty() {
-            // Baseline equalization: the same number of updates via
-            // repeated passes over the originals.
+        // Baseline equalization: the same number of updates via repeated
+        // passes over the originals.
+        let extra_repeats = if n_synth == 0 {
             cfg.synth_ratio.round() as usize
         } else {
             0
         };
-
-        // Per-epoch buffers, reused: the plan is rebuilt (same contents,
-        // same shuffle draws) per attempt.
+        // Rebuilt (same contents, same shuffle draws) per attempt.
         let mut plan: Vec<(bool, usize)> =
             Vec::with_capacity(n * (1 + extra_repeats) + per_epoch_synths);
-
-        // Decode workers. With `train_jobs <= 1` the pool is threadless
-        // and every closure below runs inline on this thread — the
-        // serial reference path the parallel path must match bit for
-        // bit. One slot per window position, each owning its scratch;
-        // grow-only, so a warm window decodes without allocating.
-        let pool = WorkerPool::new(cfg.train_jobs);
-        let mut slots: Vec<Mutex<TrainSlot>> = Vec::new();
-        // Reusable slots for parallel synthetic feature extraction on
-        // cache misses, plus the per-window list of missing indices.
-        let mut feat_slots: Vec<Mutex<Option<SynthFeats>>> = Vec::new();
-        let mut uncached: Vec<usize> = Vec::new();
-        // Per-worker decode counts (utilization), flushed to the metrics
-        // registry once at the end of the run.
-        let worker_docs: Vec<AtomicU64> = (0..pool.jobs()).map(|_| AtomicU64::new(0)).collect();
-        let mut obs_batches = 0u64;
-        let mut obs_replays = 0u64;
-        // Scratch for the merge phase: re-decodes of stale speculations,
-        // plus a bucket table for the one-thread reference path.
-        let mut replay_vit = ViterbiScratch::default();
-        let mut serial_bk = DocBuckets::default();
-
-        // Divergence recovery (restart-with-replay): when an epoch's loss
-        // goes non-finite, reset the weights and replay training from
-        // epoch 0 drawing the *same* rng stream, then perturb only the
-        // diverged epoch's visiting order with an extra shuffle from a
-        // derived recovery seed. A clean run draws zero extra random
-        // numbers, so the hardened path is bit-identical to the original
-        // trainer. `overrides` maps epoch -> retry attempt count.
+        // Epoch -> retry attempt count.
         let mut overrides: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
         let mut report = TrainReport::default();
 
         'attempt: loop {
             let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let mut synth_order: Vec<usize> = (0..synthetics.len()).collect();
+            let mut synth_order: Vec<usize> = (0..n_synth).collect();
             synth_order.shuffle(&mut rng);
             let mut synth_cursor = 0usize;
 
             for epoch in 0..cfg.epochs {
-                let epoch_t0 = if timing {
-                    Some(std::time::Instant::now())
-                } else {
-                    None
-                };
-                // Plan: (is_synth, index) entries.
+                let epoch_t0 = timing.then(Instant::now);
                 plan.clear();
-                for r in 0..=extra_repeats {
-                    let _ = r;
-                    for i in 0..n {
-                        plan.push((false, i));
-                    }
+                for _ in 0..=extra_repeats {
+                    plan.extend((0..n).map(|i| (false, i)));
                 }
                 for _ in 0..per_epoch_synths {
                     plan.push((true, synth_order[synth_cursor % synth_order.len().max(1)]));
@@ -620,141 +896,7 @@ impl Extractor {
                         StdRng::seed_from_u64(recovery_seed(cfg.seed, epoch as u64, attempt));
                     plan.shuffle(&mut recovery);
                 }
-                obs_decodes += plan.len() as u64;
-                let mut epoch_loss = 0.0f64;
-                let mut epoch_merge_ms = 0.0f64;
-                for window in plan.chunks(TRAIN_BATCH) {
-                    obs_batches += 1;
-                    // Resolve synthetic feature-cache misses for this
-                    // window up front (fanned out when misses cluster):
-                    // the decode phase reads the cache immutably from
-                    // every worker.
-                    uncached.clear();
-                    for &(is_synth, i) in window {
-                        if !is_synth {
-                            continue;
-                        }
-                        if feats_synth[i].is_some() || uncached.contains(&i) {
-                            obs_synth_feat_hits += 1;
-                        } else {
-                            uncached.push(i);
-                            obs_synth_feat_misses += 1;
-                        }
-                    }
-                    if !uncached.is_empty() {
-                        while feat_slots.len() < uncached.len() {
-                            feat_slots.push(Mutex::new(None));
-                        }
-                        let this: &Extractor = self;
-                        let uncached_ref = &uncached;
-                        pool.fill_slots(&feat_slots[..uncached.len()], |_, j| {
-                            let d = synthetics[uncached_ref[j]];
-                            (extract(d, &this.lexicon), this.tags.encode(d))
-                        });
-                        for (j, &i) in uncached.iter().enumerate() {
-                            feats_synth[i] = feat_slots[j].lock().expect("slot poisoned").take();
-                        }
-                    }
-                    // One-thread reference path: decode with the current
-                    // weights and update immediately — the textbook
-                    // online perceptron. The speculative path below
-                    // reproduces exactly this update sequence; running
-                    // it on one thread would just decode twice.
-                    if pool.jobs() <= 1 {
-                        let merge_t0 = timing.then(std::time::Instant::now);
-                        worker_docs[0].fetch_add(window.len() as u64, Ordering::Relaxed);
-                        for &(is_synth, i) in window {
-                            let (bk, gold): (&DocBuckets, &[TagId]) = if is_synth {
-                                let (f, g) = feats_synth[i].as_ref().expect("cache resolved above");
-                                self.fill_buckets(f, Some(g), &mut serial_bk);
-                                (&serial_bk, g)
-                            } else {
-                                (&buckets_orig[i], &golds_orig[i])
-                            };
-                            self.viterbi_into(bk, &mut replay_vit);
-                            if replay_vit.tags != gold {
-                                let pred = std::mem::take(&mut replay_vit.tags);
-                                epoch_loss += self.update(bk, gold, &pred);
-                                replay_vit.tags = pred;
-                                obs_updates += 1;
-                            }
-                        }
-                        if let Some(t0) = merge_t0 {
-                            epoch_merge_ms += t0.elapsed().as_secs_f64() * 1e3;
-                        }
-                        continue;
-                    }
-                    // Decode phase: every entry of the window is decoded
-                    // against the weights as they stood at window start,
-                    // on whichever worker claims it first.
-                    while slots.len() < window.len() {
-                        slots.push(Mutex::new(TrainSlot::default()));
-                    }
-                    {
-                        let this: &Extractor = self;
-                        let feats_synth_ref = &feats_synth;
-                        let buckets_ref = &buckets_orig;
-                        let golds_ref = &golds_orig;
-                        let worker_docs_ref = &worker_docs;
-                        pool.for_each_slot(&slots[..window.len()], |worker, item, slot| {
-                            worker_docs_ref[worker].fetch_add(1, Ordering::Relaxed);
-                            let (is_synth, i) = window[item];
-                            let gold: &[TagId] = if is_synth {
-                                let (f, g) =
-                                    feats_synth_ref[i].as_ref().expect("cache resolved above");
-                                this.fill_buckets(f, Some(g), &mut slot.bk);
-                                this.viterbi_into(&slot.bk, &mut slot.vit);
-                                g
-                            } else {
-                                this.viterbi_into(&buckets_ref[i], &mut slot.vit);
-                                &golds_ref[i]
-                            };
-                            slot.mispredicted = slot.vit.tags != gold;
-                        });
-                    }
-                    // Merge phase, serial and in plan order. A window's
-                    // speculative decode is valid exactly until the
-                    // first weight update inside the window; from that
-                    // point on each document is re-decoded with the
-                    // current weights (bucket tables are
-                    // weight-independent, so only the Viterbi sweep
-                    // reruns). The applied update sequence is therefore
-                    // identical to the one-thread reference path above
-                    // for every jobs setting.
-                    let merge_t0 = timing.then(std::time::Instant::now);
-                    let mut dirty = false;
-                    for (item, &(is_synth, i)) in window.iter().enumerate() {
-                        let slot = slots[item].get_mut().expect("slot poisoned");
-                        let (bk, gold): (&DocBuckets, &[TagId]) = if is_synth {
-                            let (_, g) = feats_synth[i].as_ref().expect("cache resolved above");
-                            (&slot.bk, g)
-                        } else {
-                            (&buckets_orig[i], &golds_orig[i])
-                        };
-                        if dirty {
-                            obs_replays += 1;
-                            self.viterbi_into(bk, &mut replay_vit);
-                            if replay_vit.tags != gold {
-                                let pred = std::mem::take(&mut replay_vit.tags);
-                                epoch_loss += self.update(bk, gold, &pred);
-                                replay_vit.tags = pred;
-                                obs_updates += 1;
-                            }
-                        } else if slot.mispredicted {
-                            let pred = std::mem::take(&mut slot.vit.tags);
-                            epoch_loss += self.update(bk, gold, &pred);
-                            slot.vit.tags = pred;
-                            obs_updates += 1;
-                            dirty = true;
-                        }
-                    }
-                    if let Some(t0) = merge_t0 {
-                        epoch_merge_ms += t0.elapsed().as_secs_f64() * 1e3;
-                    }
-                }
-                if timing {
-                    fieldswap_obs::observe("fieldswap_train_merge_ms", epoch_merge_ms);
-                }
+                let mut epoch_loss = runner.run_epoch(self, &plan);
                 if epoch < 64
                     && (cfg.inject_nan_epoch_mask >> epoch) & 1 == 1
                     && !overrides.contains_key(&epoch)
@@ -778,6 +920,7 @@ impl Extractor {
                         report.exhausted = true;
                         report.final_loss = 0.0;
                         self.scrub_non_finite();
+                        runner.resync(self);
                         fieldswap_obs::counter_add("fieldswap_train_divergence_exhausted_total", 1);
                         continue;
                     }
@@ -785,34 +928,13 @@ impl Extractor {
                     *overrides.entry(epoch).or_insert(0) += 1;
                     fieldswap_obs::counter_add("fieldswap_train_divergence_retries_total", 1);
                     self.reset_weights();
+                    runner.resync(self);
                     continue 'attempt;
                 }
             }
             break;
         }
-        self.train_report = report;
-        if timing {
-            fieldswap_obs::counter_add("fieldswap_train_epochs_total", cfg.epochs as u64);
-            fieldswap_obs::counter_add("fieldswap_train_decodes_total", obs_decodes);
-            fieldswap_obs::counter_add("fieldswap_train_updates_total", obs_updates);
-            fieldswap_obs::counter_add(
-                "fieldswap_synth_feature_cache_hits_total",
-                obs_synth_feat_hits,
-            );
-            fieldswap_obs::counter_add(
-                "fieldswap_synth_feature_cache_misses_total",
-                obs_synth_feat_misses,
-            );
-            fieldswap_obs::counter_add("fieldswap_train_batches_total", obs_batches);
-            fieldswap_obs::counter_add("fieldswap_train_replayed_decodes_total", obs_replays);
-            for (w, docs) in worker_docs.iter().enumerate() {
-                fieldswap_obs::counter_add(
-                    &format!("fieldswap_train_worker_docs_total{{worker=\"{w}\"}}"),
-                    docs.load(Ordering::Relaxed),
-                );
-            }
-        }
-        self.finalize_average();
+        report
     }
 
     /// Applies the perceptron averaging: `w_avg = w - acc / (step + 1)`.
@@ -830,61 +952,12 @@ impl Extractor {
     /// Extracts entity spans from a document, applying the schema
     /// constraint that each field keeps only its best-scoring instance
     /// (fields in all five paper domains are single-instance).
+    ///
+    /// Decodes through the frozen path, freezing the model on every call;
+    /// batch callers should [`Extractor::freeze`] once and reuse one
+    /// [`InferScratch`].
     pub fn predict(&self, doc: &Document) -> Vec<EntitySpan> {
-        let mut scratch = PredictScratch::default();
-        self.predict_with(doc, &mut scratch)
-    }
-
-    /// Like [`Extractor::predict`], but reuses caller-held working memory:
-    /// batch callers (evaluation sweeps, benchmark loops) keep one
-    /// [`PredictScratch`] and avoid re-allocating the bucket table and
-    /// Viterbi buffers per document.
-    pub fn predict_with(&self, doc: &Document, scratch: &mut PredictScratch) -> Vec<EntitySpan> {
-        let feats = extract(doc, &self.lexicon);
-        self.fill_buckets(&feats, None, &mut scratch.buckets);
-        self.viterbi_into(&scratch.buckets, &mut scratch.viterbi);
-        let spans = self.tags.decode(&scratch.viterbi.tags);
-        self.apply_schema_constraints(&scratch.buckets, spans)
-    }
-
-    /// Raw (unconstrained) prediction, for diagnostics and ablations.
-    pub fn predict_unconstrained(&self, doc: &Document) -> Vec<EntitySpan> {
-        let feats = extract(doc, &self.lexicon);
-        let mut scratch = PredictScratch::default();
-        self.fill_buckets(&feats, None, &mut scratch.buckets);
-        self.viterbi_into(&scratch.buckets, &mut scratch.viterbi);
-        self.tags.decode(&scratch.viterbi.tags)
-    }
-
-    fn apply_schema_constraints(&self, bk: &DocBuckets, spans: Vec<EntitySpan>) -> Vec<EntitySpan> {
-        // Score each span by its mean emission margin and keep the best
-        // span per field. Spans come from decoded Viterbi output, so every
-        // (position, tag) pair passed the gate and has a filled bucket row.
-        let mut best: std::collections::HashMap<u16, (f32, EntitySpan)> =
-            std::collections::HashMap::new();
-        for s in spans {
-            let mut score = 0.0f32;
-            for t in s.start..s.end {
-                let part = match (t == s.start, t + 1 == s.end) {
-                    (true, true) => 3,  // S
-                    (true, false) => 0, // B
-                    (false, true) => 2, // E
-                    (false, false) => 1,
-                };
-                let tag = self.tags.tag(s.field, part);
-                score += self.emission_bk(bk, t as usize, tag);
-            }
-            score /= (s.end - s.start) as f32;
-            match best.get(&s.field) {
-                Some((b, _)) if *b >= score => {}
-                _ => {
-                    best.insert(s.field, (score, s));
-                }
-            }
-        }
-        let mut out: Vec<EntitySpan> = best.into_values().map(|(_, s)| s).collect();
-        out.sort_by_key(|s| (s.start, s.end));
-        out
+        self.freeze().predict(doc, &mut InferScratch::default())
     }
 
     /// Decomposes a finalized extractor into its serializable parts.
@@ -948,18 +1021,112 @@ impl Extractor {
         ex.train_mixed(&orig, &synth, cfg);
         ex
     }
+}
 
-    /// On-the-fly emission score — the naive counterpart of
-    /// [`Extractor::emission_bk`], retained for the reference decoder.
-    #[cfg(test)]
+/// The naive hashed-gather trainer the tests compare the live trainer
+/// against: `extract` + `viterbi_reference` + an on-the-fly update, driven
+/// through the same epoch schedule.
+#[cfg(test)]
+struct ReferenceTrainer<'a> {
+    synthetics: &'a [&'a Document],
+    originals: Vec<(DocFeatures, Vec<TagId>)>,
+    synth: Vec<Option<(DocFeatures, Vec<TagId>)>>,
+}
+
+#[cfg(test)]
+impl EpochRunner for ReferenceTrainer<'_> {
+    fn run_epoch(&mut self, ex: &mut Extractor, plan: &[(bool, usize)]) -> f64 {
+        let mut loss = 0.0f64;
+        for &(is_synth, i) in plan {
+            let (feats, gold) = if is_synth {
+                let d = self.synthetics[i];
+                &*self.synth[i].get_or_insert_with(|| (extract(d, &ex.lexicon), ex.tags.encode(d)))
+            } else {
+                &self.originals[i]
+            };
+            let pred = ex.viterbi_reference(feats);
+            if pred != *gold {
+                loss += ex.update_reference(feats, gold, &pred);
+            }
+        }
+        loss
+    }
+
+    fn resync(&mut self, _: &Extractor) {}
+}
+
+#[cfg(test)]
+impl Extractor {
+    /// [`Extractor::train_mixed`] through the naive reference trainer.
+    fn train_reference(
+        &mut self,
+        originals: &[&Document],
+        synthetics: &[&Document],
+        cfg: &TrainConfig,
+    ) {
+        if !originals.is_empty() {
+            let mut runner = ReferenceTrainer {
+                synthetics,
+                originals: originals
+                    .iter()
+                    .map(|d| (extract(d, &self.lexicon), self.tags.encode(d)))
+                    .collect(),
+                synth: (0..synthetics.len()).map(|_| None).collect(),
+            };
+            self.train_report =
+                self.run_schedule(originals.len(), synthetics.len(), cfg, &mut runner);
+        }
+        self.finalize_average();
+    }
+
+    /// The perceptron update with buckets hashed on the fly and no row
+    /// table to keep in sync.
+    fn update_reference(&mut self, feats: &DocFeatures, gold: &[TagId], pred: &[TagId]) -> f64 {
+        self.step += 1;
+        let n_tags = self.tags.len();
+        let step = self.step as f64;
+        let mut margin = 0.0f64;
+        for t in 0..gold.len() {
+            if gold[t] != pred[t] {
+                for &f in &feats.features[t] {
+                    let bg = bucket(f, gold[t]);
+                    let bp = bucket(f, pred[t]);
+                    margin += f64::from(self.w[bp] - self.w[bg]);
+                    self.w[bg] += 1.0;
+                    self.w_acc[bg] += step;
+                    self.w[bp] -= 1.0;
+                    self.w_acc[bp] -= step;
+                }
+            }
+            if t > 0 && (gold[t] != pred[t] || gold[t - 1] != pred[t - 1]) {
+                let ig = gold[t - 1] as usize * n_tags + gold[t] as usize;
+                let ip = pred[t - 1] as usize * n_tags + pred[t] as usize;
+                margin += f64::from(self.trans[ip] - self.trans[ig]);
+                self.trans[ig] += 1.0;
+                self.trans_acc[ig] += step;
+                self.trans[ip] -= 1.0;
+                self.trans_acc[ip] -= step;
+            }
+        }
+        margin
+    }
+
+    /// Whether `tag` is admissible for a token with gate `mask`.
+    fn tag_allowed(&self, tag: TagId, mask: u8) -> bool {
+        match self.tags.parts(tag) {
+            None => true,
+            Some((f, _)) => gate_allows(mask, self.field_types[f as usize]),
+        }
+    }
+
+    /// On-the-fly emission score: hash every `(feature, tag)` pair.
     fn emission(&self, features: &[u64], tag: TagId) -> f32 {
         features.iter().map(|&f| self.w[bucket(f, tag)]).sum()
     }
 
-    /// The pre-optimization Viterbi: nested backpointer vectors, fresh
-    /// allocations per step, hashing on the fly. Kept as the oracle the
-    /// property tests compare the scratch-buffer decoder against.
-    #[cfg(test)]
+    /// The naive Viterbi: nested backpointer vectors, fresh allocations
+    /// per step, hashing on the fly. The oracle the property tests
+    /// compare the structure-of-arrays decoder against.
     fn viterbi_reference(&self, feats: &DocFeatures) -> Vec<TagId> {
         let n = feats.features.len();
         let n_tags = self.tags.len();
@@ -1028,6 +1195,39 @@ impl Extractor {
             tags[t - 1] = back[t][tags[t] as usize];
         }
         tags
+    }
+
+    /// Naive prediction: the reference Viterbi plus the single-instance
+    /// constraint scored by on-the-fly emissions (mean emission per span,
+    /// the first span kept on ties).
+    pub(crate) fn predict_reference(&self, doc: &Document) -> Vec<EntitySpan> {
+        let feats = extract(doc, &self.lexicon);
+        let spans = self.tags.decode(&self.viterbi_reference(&feats));
+        let mut best: std::collections::HashMap<u16, (f32, EntitySpan)> =
+            std::collections::HashMap::new();
+        for s in spans {
+            let mut score = 0.0f32;
+            for t in s.start..s.end {
+                let part = match (t == s.start, t + 1 == s.end) {
+                    (true, true) => 3,  // S
+                    (true, false) => 0, // B
+                    (false, true) => 2, // E
+                    (false, false) => 1,
+                };
+                let tag = self.tags.tag(s.field, part);
+                score += self.emission(&feats.features[t as usize], tag);
+            }
+            score /= (s.end - s.start) as f32;
+            match best.get(&s.field) {
+                Some((b, _)) if *b >= score => {}
+                _ => {
+                    best.insert(s.field, (score, s));
+                }
+            }
+        }
+        let mut out: Vec<EntitySpan> = best.into_values().map(|(_, s)| s).collect();
+        out.sort_by_key(|s| (s.start, s.end));
+        out
     }
 }
 
@@ -1264,22 +1464,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_with_reused_scratch_matches_fresh() {
-        let train = generate(Domain::Earnings, 17, 30);
-        let ex = Extractor::train_on(
-            &train.schema,
-            Lexicon::empty(),
-            &train,
-            &[],
-            &TrainConfig::tiny(),
-        );
-        let mut scratch = PredictScratch::default();
-        for d in &train.documents {
-            assert_eq!(ex.predict_with(d, &mut scratch), ex.predict(d));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "already finalized")]
     fn double_train_panics() {
         let train = generate(Domain::Fara, 9, 5);
@@ -1291,10 +1475,11 @@ mod tests {
 
     #[test]
     fn proptest_scratch_viterbi_matches_reference() {
-        // The scratch-buffer decoder must reproduce the naive reference
-        // decoder exactly — same tags, bit for bit — across random
-        // weights, features, and gate masks, including when one scratch is
-        // reused across documents.
+        // The structure-of-arrays decoder over a live row table must
+        // reproduce the naive reference decoder exactly — same tags, bit
+        // for bit — across random weights, features, and gate masks,
+        // including when one set of decode buffers is reused across
+        // documents.
         use proptest::prelude::*;
         use proptest::test_runner::{Config, TestRunner};
         let schema = generate(Domain::Earnings, 1, 1).schema;
@@ -1302,7 +1487,7 @@ mod tests {
         runner
             .run(
                 &(
-                    // Two documents per case (scratch reuse), each up to 12
+                    // Two documents per case (buffer reuse), each up to 12
                     // tokens with up to 6 features.
                     proptest::collection::vec(
                         proptest::collection::vec(
@@ -1322,17 +1507,29 @@ mod tests {
                     for (i, t) in ex.trans.iter_mut().enumerate() {
                         *t = tvals[i % tvals.len()];
                     }
-                    let mut bk = DocBuckets::default();
-                    let mut sc = ViterbiScratch::default();
+                    let layout = DecodeLayout::new(&ex.tags, &ex.field_types, &ex.trans);
+                    let mut live = LiveRows::new(layout.stride());
+                    let mut bufs = DecodeBufs::default();
                     for tokens in &docs {
                         let feats = DocFeatures {
                             features: tokens.iter().map(|(fs, _)| fs.clone()).collect(),
                             gates: tokens.iter().map(|&(_, g)| g).collect(),
                         };
                         let reference = ex.viterbi_reference(&feats);
-                        ex.fill_buckets(&feats, None, &mut bk);
-                        ex.viterbi_into(&bk, &mut sc);
-                        prop_assert_eq!(&sc.tags, &reference);
+                        let mut doc = TrainDoc {
+                            rows: Vec::new(),
+                            ends: Vec::new(),
+                            gates: feats.gates.clone(),
+                            gold: vec![0; tokens.len()],
+                        };
+                        for fs in &feats.features {
+                            for &f in fs {
+                                doc.rows.push(live.row_of(&layout, &ex.w, f));
+                            }
+                            doc.ends.push(doc.rows.len() as u32);
+                        }
+                        decode(&layout, live.rows(), &doc, &mut bufs);
+                        prop_assert_eq!(&bufs.tags, &reference);
                     }
                     Ok(())
                 },
@@ -1463,5 +1660,143 @@ mod tests {
                 },
             )
             .unwrap();
+    }
+
+    /// FNV-1a (64-bit, canonical constants) of a serialized model.
+    fn model_digest(ex: &Extractor) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for &b in &ex.to_bytes().unwrap() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01B3);
+        }
+        h
+    }
+
+    /// A fixed Earnings cell with type-to-type synthetics from the
+    /// generator's phrase bank.
+    fn earnings_synthetic_cell(jobs: usize) -> Extractor {
+        use fieldswap_core::{augment_corpus, FieldSwapConfig, PairStrategy};
+        let pool = generate(Domain::Earnings, 61, 12);
+        let mut config = FieldSwapConfig::new(pool.schema.len());
+        for (name, phrases) in Domain::Earnings.generator().phrase_bank() {
+            config.set_phrases(pool.schema.field_id(&name).unwrap(), phrases);
+        }
+        config.set_pairs(PairStrategy::TypeToType.build(&pool.schema, &config));
+        let (mut synths, _) = augment_corpus(&pool, &config);
+        synths.truncate(40);
+        let cfg = TrainConfig {
+            epochs: 3,
+            seed: 5,
+            train_jobs: jobs,
+            ..TrainConfig::default()
+        };
+        let lex = Lexicon::pretrain(&pool.documents);
+        Extractor::train_on(&pool.schema, lex, &pool, &synths, &cfg)
+    }
+
+    /// A fixed Loan baseline cell (no synthetics).
+    fn loan_baseline_cell(jobs: usize) -> Extractor {
+        let pool = generate(Domain::LoanPayments, 62, 15);
+        let cfg = TrainConfig {
+            epochs: 3,
+            seed: 6,
+            train_jobs: jobs,
+            ..TrainConfig::default()
+        };
+        let lex = Lexicon::pretrain(&pool.documents);
+        Extractor::train_on(&pool.schema, lex, &pool, &[], &cfg)
+    }
+
+    #[test]
+    fn trained_model_digests_are_pinned() {
+        // Cross-commit anchor: the serialized bytes of two fixed cells —
+        // the first with synthetics, the second a baseline — at the
+        // values the hashed-gather trainer produced before training
+        // moved onto the structure-of-arrays decoder. Any drift in
+        // decoding, update order or write-through shows up here.
+        for jobs in [1, 4] {
+            assert_eq!(
+                model_digest(&earnings_synthetic_cell(jobs)),
+                0xb8e4_8526_20c7_2849,
+                "earnings + synthetics, train_jobs={jobs}"
+            );
+            assert_eq!(
+                model_digest(&loan_baseline_cell(jobs)),
+                0x585b_c430_8229_e0af,
+                "loan baseline, train_jobs={jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn proptest_live_trainer_matches_reference() {
+        // The live-row trainer against the naive hashed-gather trainer
+        // over the same epoch schedule: identical serialized models and
+        // identical reports across random corpora, synthetic pools,
+        // epochs, ratios, seeds and thread counts — with clean runs, one
+        // injected divergence (reset + replay), and an exhausted retry
+        // budget (reset, then scrub). Every run must also have written
+        // through an aliased bucket, the case a per-entry write would
+        // get wrong.
+        use proptest::prelude::*;
+        use proptest::test_runner::{Config, TestRunner};
+        let pool = generate(Domain::Fara, 71, 16);
+        let synth_pool = generate(Domain::Fara, 72, 10).documents;
+        let lex = Lexicon::pretrain(&pool.documents);
+        let mut modes = [0usize; 3];
+        let mut runner = TestRunner::new(Config::with_cases(12));
+        runner
+            .run(
+                &(
+                    (
+                        1usize..=8, // train_jobs
+                        1usize..=3, // epochs
+                        0u8..=4,    // synth_ratio halves (0.0..=2.0)
+                        0u64..=7,   // seed
+                    ),
+                    (
+                        4usize..=16, // originals
+                        0usize..=10, // synthetics
+                        0usize..=2,  // divergence mode
+                    ),
+                ),
+                |((jobs, epochs, ratio_halves, seed), (n_docs, n_synth, mode))| {
+                    modes[mode] += 1;
+                    let (epochs, mask, retries) = match mode {
+                        0 => (epochs, 0, 2),
+                        1 => (epochs, 1 << (seed as usize % epochs), 2),
+                        // Every first attempt diverges: epoch 0 spends
+                        // the one retry, epoch 1 exhausts the budget.
+                        _ => (epochs.max(2), u64::MAX, 1),
+                    };
+                    let cfg = TrainConfig {
+                        epochs,
+                        synth_ratio: f32::from(ratio_halves) * 0.5,
+                        seed,
+                        max_divergence_retries: retries,
+                        train_jobs: jobs,
+                        inject_nan_epoch_mask: mask,
+                    };
+                    let originals: Vec<&Document> = pool.documents[..n_docs].iter().collect();
+                    let synthetics: Vec<&Document> = synth_pool[..n_synth].iter().collect();
+                    let mut live = Extractor::new(&pool.schema, lex.clone());
+                    let rows = live
+                        .train_live(&originals, &synthetics, &cfg)
+                        .expect("non-empty corpus");
+                    let mut reference = Extractor::new(&pool.schema, lex.clone());
+                    reference.train_reference(&originals, &synthetics, &cfg);
+                    prop_assert_eq!(live.train_report(), reference.train_report());
+                    prop_assert_eq!(mode == 2, live.train_report().exhausted);
+                    prop_assert_eq!(mode != 0, live.train_report().retries > 0);
+                    prop_assert!(live.to_bytes().unwrap() == reference.to_bytes().unwrap());
+                    prop_assert!(rows.aliased_writes > 0, "no aliased write-through");
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert!(
+            modes.iter().all(|&m| m > 0),
+            "divergence modes hit: {modes:?}"
+        );
     }
 }
