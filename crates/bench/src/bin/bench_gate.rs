@@ -11,8 +11,10 @@
 //! bench_gate serve --baseline BENCH_serve.json --current fresh.json [--max-regress 0.30]
 //! ```
 //!
-//! * `perf` fails when the throughput of any stage in
-//!   [`fieldswap_bench::gate::PERF_GATE_STAGES`] (`infer_frozen`,
+//! * `perf` and `serve` run one comparator,
+//!   [`fieldswap_bench::gate::regression_gate`], and differ only in the
+//!   table of metrics it reads. `perf` fails when the throughput of any
+//!   stage in [`fieldswap_bench::gate::PERF_GATE`] (`infer_frozen`,
 //!   `extract_train`, `nn_train`) dropped by more than `--max-regress`
 //!   (fraction, default 0.30) versus the committed baseline.
 //! * `quant` matches fig4 points by `(domain, size, arm)` between an
@@ -24,8 +26,8 @@
 //! * `serve` fails when a fresh `serve_bench --json` dump's throughput
 //!   or availability dropped, or its p99 latency or shed rate rose, by
 //!   more than `--max-regress` versus the committed `BENCH_serve.json`
-//!   (schema v2; v1 baselines without the overload metrics still pass
-//!   per the missing-baseline guard).
+//!   ([`fieldswap_bench::gate::SERVE_GATE`]; v1 baselines without the
+//!   overload metrics still pass per the missing-baseline guard).
 
 use fieldswap_bench::gate;
 use serde_json::Value;
@@ -91,17 +93,22 @@ fn main() {
     };
 
     let failed = match mode.as_str() {
-        "perf" => {
+        "perf" | "serve" => {
+            let rows: &[_] = if mode == "perf" {
+                &gate::PERF_GATE
+            } else {
+                &gate::SERVE_GATE
+            };
             for (f, _) in &flags {
                 if !["--baseline", "--current", "--max-regress"].contains(&f.as_str()) {
-                    usage(&format!("unknown perf flag {f}"));
+                    usage(&format!("unknown {mode} flag {f}"));
                 }
             }
             let baseline = load(require("--baseline"));
             let current = load(require("--current"));
             let max_regress = get("--max-regress").map_or(0.30, |v| num(v, "--max-regress"));
-            let deltas = gate::perf_gate(&baseline, &current, max_regress);
-            print!("{}", gate::render_perf_table(&deltas));
+            let deltas = gate::regression_gate(rows, &baseline, &current, max_regress);
+            print!("{}", gate::render_table(&deltas));
             println!("(gate fails when regression > {:.0}%)", max_regress * 100.0);
             deltas.iter().any(|d| d.failed)
         }
@@ -127,20 +134,6 @@ fn main() {
                     .unwrap_or_else(|e| fieldswap_bench::fail(&format!("write {path}: {e}")));
                 fieldswap_obs::info!("wrote {path}");
             }
-            deltas.iter().any(|d| d.failed)
-        }
-        "serve" => {
-            for (f, _) in &flags {
-                if !["--baseline", "--current", "--max-regress"].contains(&f.as_str()) {
-                    usage(&format!("unknown serve flag {f}"));
-                }
-            }
-            let baseline = load(require("--baseline"));
-            let current = load(require("--current"));
-            let max_regress = get("--max-regress").map_or(0.30, |v| num(v, "--max-regress"));
-            let deltas = gate::serve_gate(&baseline, &current, max_regress);
-            print!("{}", gate::render_serve_table(&deltas));
-            println!("(gate fails when regression > {:.0}%)", max_regress * 100.0);
             deltas.iter().any(|d| d.failed)
         }
         other => usage(&format!("unknown mode {other:?} (perf|quant|serve)")),

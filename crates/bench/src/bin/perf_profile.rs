@@ -149,8 +149,9 @@ struct MachineReport {
     cpu: String,
     /// Hardware threads available to this process.
     nproc: usize,
-    /// Widest vector extension the decode kernels dispatch to:
-    /// `avx512f`, `avx2` or `scalar`.
+    /// The vector tier the decode kernels dispatch to
+    /// ([`fieldswap_extract::infer::simd_tier`]): `avx512f`, `avx2` or
+    /// `scalar`.
     simd: &'static str,
 }
 
@@ -165,17 +166,11 @@ fn machine_report() -> MachineReport {
         })
         .unwrap_or_else(|| "unknown".into());
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    #[cfg(target_arch = "x86_64")]
-    let simd = if std::arch::is_x86_feature_detected!("avx512f") {
-        "avx512f"
-    } else if std::arch::is_x86_feature_detected!("avx2") {
-        "avx2"
-    } else {
-        "scalar"
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let simd = "scalar";
-    MachineReport { cpu, nproc, simd }
+    MachineReport {
+        cpu,
+        nproc,
+        simd: fieldswap_extract::infer::simd_tier(),
+    }
 }
 
 #[derive(Serialize)]

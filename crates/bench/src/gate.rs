@@ -2,38 +2,126 @@
 //! plain functions over parsed JSON so they are unit-testable instead of
 //! living in workflow YAML.
 //!
-//! Three gates:
+//! Two comparators:
 //!
-//! * **perf** — compares a fresh `perf_profile` report against the
-//!   committed `BENCH_train.json` baseline, stage by stage, and fails
-//!   only when throughput regresses by more than the tolerance (default
-//!   30%, generous because CI machines are noisy). Improvements and new
-//!   stages never fail.
+//! * **regression** ([`regression_gate`]) — compares a fresh report
+//!   against a committed baseline over a table of metric rows, each a
+//!   JSON path and the direction that counts as better, and fails a row
+//!   only when it regressed by more than the tolerance (default 30%,
+//!   generous because CI machines are noisy). `perf` mode gates a
+//!   `perf_profile` report against `BENCH_train.json` over
+//!   [`PERF_GATE`]; `serve` mode gates a `serve_bench --json` dump
+//!   against `BENCH_serve.json` over [`SERVE_GATE`].
 //! * **quant** — compares two `fig4_macro_f1 --json` dumps (exact f32 vs
 //!   `--quantized`) point by point, and fails when any point's macro-F1
 //!   drifts by more than the epsilon shared with the in-repo guard test
 //!   ([`fieldswap_eval::QUANT_MACRO_F1_EPSILON`]).
-//! * **serve** — compares a fresh `serve_bench --json` dump against the
-//!   committed `BENCH_serve.json` baseline on sustained throughput and
-//!   tail latency, with the same tolerance and missing/zero-value
-//!   guards as the perf gate.
 
 use serde_json::Value;
 
-/// One stage's throughput comparison in the perf gate.
+/// Which way a gated metric improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Throughput-like: a drop is a regression.
+    Higher,
+    /// Latency-like: a rise is a regression.
+    Lower,
+}
+
+/// One metric's comparison in a regression gate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageDelta {
-    /// Stage name (`infer_frozen`, `extract_train`, ...).
-    pub stage: String,
-    /// Baseline docs/sec from the committed report.
-    pub baseline_dps: f64,
-    /// Current docs/sec from the fresh report.
-    pub current_dps: f64,
-    /// Fractional regression: `(baseline - current) / baseline`.
-    /// Negative means the current run is faster.
+pub struct Delta {
+    /// The metric's JSON path (`infer_frozen.docs_per_sec`, `p99_ms`, ...).
+    pub metric: &'static str,
+    /// Baseline value from the committed report.
+    pub baseline: f64,
+    /// Current value from the fresh report.
+    pub current: f64,
+    /// Fractional regression in the metric's bad direction: throughput
+    /// dropping and latency rising are both positive. Negative means the
+    /// current run improved.
     pub regression: f64,
-    /// Whether this stage alone fails the gate.
+    /// Whether this metric alone fails the gate.
     pub failed: bool,
+}
+
+/// The `perf_profile` stages `perf` mode gates, by docs/sec. The decode
+/// path (`infer_frozen`, which times the crate's one decoder) is a tight
+/// loop whose floor is stable, and since schema 4 the training stages
+/// are warm-up + min-of-K measurements rather than single shots, so
+/// their floor is stable enough to gate too. The remaining stages
+/// (`nn_forward`, `backward`, `harness_build`) stay informational.
+pub const PERF_GATE: [(&str, Better); 3] = [
+    ("infer_frozen.docs_per_sec", Better::Higher),
+    ("extract_train.docs_per_sec", Better::Higher),
+    ("nn_train.docs_per_sec", Better::Higher),
+];
+
+/// The `BENCH_serve.json` metrics `serve` mode gates. Median latency
+/// stays informational — p99 is the serving contract, p50 is too twitchy
+/// under CI noise. `availability` is the fraction of requests that
+/// ultimately returned 200 (must not collapse); `shed_rate` the fraction
+/// of responses that were `503` sheds (must not creep up; its clean-path
+/// baseline is 0, so it stays informational until a baseline records a
+/// real shed rate, per the zero-baseline guard).
+pub const SERVE_GATE: [(&str, Better); 4] = [
+    ("throughput_rps", Better::Higher),
+    ("p99_ms", Better::Lower),
+    ("availability", Better::Higher),
+    ("shed_rate", Better::Lower),
+];
+
+fn lookup(report: &Value, path: &str) -> Option<f64> {
+    path.split('.')
+        .try_fold(report, |v, key| v.get(key))?
+        .as_f64()
+}
+
+/// Compares `current` against `baseline` over `rows` (JSON path, better
+/// direction). A row fails when it moved in its bad direction by more
+/// than `max_regression` (a fraction, e.g. `0.30`) of the baseline.
+///
+/// A metric missing from the *baseline* passes with a zero baseline —
+/// new metrics must not fail the gate on the commit that introduces
+/// them. A metric missing from *current* fails: the fresh run did not
+/// produce the number the gate exists to check. A zero/negative baseline
+/// cannot express a regression fraction, so it is treated as new.
+/// Baseline entries no row names are ignored.
+pub fn regression_gate(
+    rows: &[(&'static str, Better)],
+    baseline: &Value,
+    current: &Value,
+    max_regression: f64,
+) -> Vec<Delta> {
+    rows.iter()
+        .map(|&(metric, better)| {
+            let b = lookup(baseline, metric).unwrap_or(0.0);
+            let Some(c) = lookup(current, metric) else {
+                return Delta {
+                    metric,
+                    baseline: b,
+                    current: 0.0,
+                    regression: 1.0,
+                    failed: true,
+                };
+            };
+            let regression = if b > 0.0 {
+                match better {
+                    Better::Higher => (b - c) / b,
+                    Better::Lower => (c - b) / b,
+                }
+            } else {
+                0.0
+            };
+            Delta {
+                metric,
+                baseline: b,
+                current: c,
+                regression,
+                failed: regression > max_regression,
+            }
+        })
+        .collect()
 }
 
 /// One grid point's macro-F1 comparison in the quantization gate.
@@ -49,152 +137,6 @@ pub struct PointDelta {
     pub delta: f64,
     /// Whether this point alone fails the gate.
     pub failed: bool,
-}
-
-/// The stages the perf gate watches. The decode path (`infer_frozen`,
-/// which times the crate's one decoder) is a tight loop whose floor is
-/// stable, and since schema 4 the training stages are warm-up + min-of-K
-/// measurements rather than single shots, so their floor is stable
-/// enough to gate too. The remaining stages (`nn_forward`, `backward`,
-/// `harness_build`) stay informational.
-pub const PERF_GATE_STAGES: [&str; 3] = ["infer_frozen", "extract_train", "nn_train"];
-
-fn stage_dps(report: &Value, stage: &str) -> Option<f64> {
-    report.get(stage)?.get("docs_per_sec")?.as_f64()
-}
-
-/// Compares `current` against `baseline` (both parsed `perf_profile`
-/// reports) over [`PERF_GATE_STAGES`]. A stage fails when its throughput
-/// dropped by more than `max_regression` (a fraction, e.g. `0.30`).
-///
-/// A stage missing from the *baseline* is reported as passing with a
-/// zero baseline — new stages must not fail the gate on the commit that
-/// introduces them. A stage missing from *current* fails: the fresh run
-/// did not produce the number the gate exists to check.
-pub fn perf_gate(baseline: &Value, current: &Value, max_regression: f64) -> Vec<StageDelta> {
-    PERF_GATE_STAGES
-        .iter()
-        .map(|&stage| {
-            let base = stage_dps(baseline, stage);
-            let cur = stage_dps(current, stage);
-            match (base, cur) {
-                (_, None) => StageDelta {
-                    stage: stage.to_string(),
-                    baseline_dps: base.unwrap_or(0.0),
-                    current_dps: 0.0,
-                    regression: 1.0,
-                    failed: true,
-                },
-                (None, Some(c)) => StageDelta {
-                    stage: stage.to_string(),
-                    baseline_dps: 0.0,
-                    current_dps: c,
-                    regression: 0.0,
-                    failed: false,
-                },
-                (Some(b), Some(c)) => {
-                    // A degenerate (zero/negative) baseline cannot
-                    // express a regression fraction; treat as new.
-                    let regression = if b > 0.0 { (b - c) / b } else { 0.0 };
-                    StageDelta {
-                        stage: stage.to_string(),
-                        baseline_dps: b,
-                        current_dps: c,
-                        regression,
-                        failed: regression > max_regression,
-                    }
-                }
-            }
-        })
-        .collect()
-}
-
-/// One metric's comparison in the serve gate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeDelta {
-    /// Metric name (`throughput_rps`, `p99_ms`).
-    pub metric: String,
-    /// Baseline value from the committed `BENCH_serve.json`.
-    pub baseline: f64,
-    /// Current value from the fresh `serve_bench` run.
-    pub current: f64,
-    /// Fractional regression in the metric's bad direction: throughput
-    /// dropping and latency rising are both positive. Negative means the
-    /// current run improved.
-    pub regression: f64,
-    /// Whether this metric alone fails the gate.
-    pub failed: bool,
-}
-
-/// The `BENCH_serve.json` metrics the serve gate watches, with the
-/// direction that counts as better. Median latency stays informational —
-/// p99 is the serving contract, p50 is too twitchy under CI noise.
-/// Schema v2 adds `availability` (fraction of requests that ultimately
-/// returned 200 — must not collapse) and `shed_rate` (fraction of
-/// responses that were `503` sheds — must not creep up; its clean-path
-/// baseline is 0, so it stays informational until a baseline records a
-/// real shed rate, per the zero-baseline guard).
-pub const SERVE_GATE_METRICS: [(&str, bool); 4] = [
-    ("throughput_rps", true),
-    ("p99_ms", false),
-    ("availability", true),
-    ("shed_rate", false),
-];
-
-/// Compares a fresh `serve_bench --json` dump (`current`) against the
-/// committed `BENCH_serve.json` (`baseline`). Throughput fails when it
-/// *dropped* by more than `max_regression`; p99 latency fails when it
-/// *rose* by more than `max_regression`; availability and shed rate
-/// follow their directions in [`SERVE_GATE_METRICS`].
-///
-/// The guard semantics mirror [`perf_gate`]: a metric missing from the
-/// baseline passes with a zero baseline (new metric on the commit that
-/// introduces it), a metric missing from `current` fails (the fresh run
-/// did not produce the number the gate exists to check), and a
-/// zero/negative baseline cannot express a regression fraction so it is
-/// treated as new.
-pub fn serve_gate(baseline: &Value, current: &Value, max_regression: f64) -> Vec<ServeDelta> {
-    SERVE_GATE_METRICS
-        .iter()
-        .map(|&(metric, higher_is_better)| {
-            let base = baseline.get(metric).and_then(Value::as_f64);
-            let cur = current.get(metric).and_then(Value::as_f64);
-            match (base, cur) {
-                (_, None) => ServeDelta {
-                    metric: metric.to_string(),
-                    baseline: base.unwrap_or(0.0),
-                    current: 0.0,
-                    regression: 1.0,
-                    failed: true,
-                },
-                (None, Some(c)) => ServeDelta {
-                    metric: metric.to_string(),
-                    baseline: 0.0,
-                    current: c,
-                    regression: 0.0,
-                    failed: false,
-                },
-                (Some(b), Some(c)) => {
-                    let regression = if b > 0.0 {
-                        if higher_is_better {
-                            (b - c) / b
-                        } else {
-                            (c - b) / b
-                        }
-                    } else {
-                        0.0
-                    };
-                    ServeDelta {
-                        metric: metric.to_string(),
-                        baseline: b,
-                        current: c,
-                        regression,
-                        failed: regression > max_regression,
-                    }
-                }
-            }
-        })
-        .collect()
 }
 
 fn point_entries(dump: &Value) -> Vec<(String, f64)> {
@@ -259,34 +201,15 @@ pub fn quant_gate(exact: &Value, quantized: &Value, epsilon: f64) -> Vec<PointDe
     out
 }
 
-/// Renders the perf comparison as a fixed-width table string.
-pub fn render_perf_table(deltas: &[StageDelta]) -> String {
+/// Renders a regression comparison as a fixed-width table string.
+pub fn render_table(deltas: &[Delta]) -> String {
     let mut s = format!(
-        "{:<18} {:>14} {:>14} {:>12}  {}\n",
-        "stage", "baseline d/s", "current d/s", "regression", "verdict"
-    );
-    for d in deltas {
-        s.push_str(&format!(
-            "{:<18} {:>14.1} {:>14.1} {:>11.1}%  {}\n",
-            d.stage,
-            d.baseline_dps,
-            d.current_dps,
-            d.regression * 100.0,
-            if d.failed { "FAIL" } else { "ok" }
-        ));
-    }
-    s
-}
-
-/// Renders the serve comparison as a fixed-width table string.
-pub fn render_serve_table(deltas: &[ServeDelta]) -> String {
-    let mut s = format!(
-        "{:<16} {:>12} {:>12} {:>12}  {}\n",
+        "{:<28} {:>12} {:>12} {:>12}  {}\n",
         "metric", "baseline", "current", "regression", "verdict"
     );
     for d in deltas {
         s.push_str(&format!(
-            "{:<16} {:>12.2} {:>12.2} {:>11.1}%  {}\n",
+            "{:<28} {:>12.2} {:>12.2} {:>11.1}%  {}\n",
             d.metric,
             d.baseline,
             d.current,
@@ -333,6 +256,19 @@ mod tests {
         ))
     }
 
+    fn perf_gate(baseline: &Value, current: &Value, max_regression: f64) -> Vec<Delta> {
+        regression_gate(&PERF_GATE, baseline, current, max_regression)
+    }
+
+    fn serve_gate(baseline: &Value, current: &Value, max_regression: f64) -> Vec<Delta> {
+        regression_gate(&SERVE_GATE, baseline, current, max_regression)
+    }
+
+    fn stage<'a>(deltas: &'a [Delta], stage: &str) -> &'a Delta {
+        let metric = format!("{stage}.docs_per_sec");
+        deltas.iter().find(|d| d.metric == metric).unwrap()
+    }
+
     #[test]
     fn perf_gate_passes_within_tolerance() {
         let deltas = perf_gate(
@@ -350,19 +286,16 @@ mod tests {
     fn perf_gate_fails_beyond_tolerance() {
         let base = report(12000.0, 2800.0, 190.0);
         let deltas = perf_gate(&base, &report(8000.0, 2800.0, 190.0), 0.30);
-        let frozen = deltas.iter().find(|d| d.stage == "infer_frozen").unwrap();
-        assert!(frozen.failed);
+        assert!(stage(&deltas, "infer_frozen").failed);
         assert_eq!(deltas.iter().filter(|d| d.failed).count(), 1);
 
         // A training-stage collapse fails the gate on its own.
         let deltas = perf_gate(&base, &report(12000.0, 1500.0, 190.0), 0.30);
-        let train = deltas.iter().find(|d| d.stage == "extract_train").unwrap();
-        assert!(train.failed);
+        assert!(stage(&deltas, "extract_train").failed);
         assert!(deltas.iter().filter(|d| d.failed).count() == 1);
 
         let deltas = perf_gate(&base, &report(12000.0, 2800.0, 90.0), 0.30);
-        let nn = deltas.iter().find(|d| d.stage == "nn_train").unwrap();
-        assert!(nn.failed);
+        assert!(stage(&deltas, "nn_train").failed);
     }
 
     #[test]
@@ -387,18 +320,22 @@ mod tests {
         );
         let deltas = perf_gate(&old, &report(12000.0, 2800.0, 190.0), 0.30);
         assert_eq!(deltas.len(), 3);
-        assert!(deltas.iter().all(|d| d.stage != "extract_predict"));
-        for stage in ["extract_train", "nn_train"] {
-            let d = deltas.iter().find(|d| d.stage == stage).unwrap();
-            assert!(!d.failed, "new stage {stage} must not fail the gate");
-            assert_eq!(d.baseline_dps, 0.0);
+        assert!(deltas
+            .iter()
+            .all(|d| !d.metric.starts_with("extract_predict")));
+        for name in ["extract_train", "nn_train"] {
+            let d = stage(&deltas, name);
+            assert!(!d.failed, "new stage {name} must not fail the gate");
+            assert_eq!(d.baseline, 0.0);
         }
 
         // Current run lost stages the baseline has: each fails.
         let deltas = perf_gate(&report(12000.0, 2800.0, 190.0), &old, 0.30);
-        for stage in ["extract_train", "nn_train"] {
-            let d = deltas.iter().find(|d| d.stage == stage).unwrap();
-            assert!(d.failed, "missing current stage {stage} must fail");
+        for name in ["extract_train", "nn_train"] {
+            assert!(
+                stage(&deltas, name).failed,
+                "missing current stage {name} must fail"
+            );
         }
     }
 
@@ -581,8 +518,8 @@ mod tests {
             &report(8000.0, 2800.0, 190.0),
             0.30,
         );
-        let table = render_perf_table(&deltas);
-        assert!(table.contains("infer_frozen"));
+        let table = render_table(&deltas);
+        assert!(table.contains("infer_frozen.docs_per_sec"));
         assert!(table.contains("extract_train") && table.contains("nn_train"));
         assert!(table.contains("FAIL") && table.contains("ok"));
 
@@ -592,7 +529,7 @@ mod tests {
         assert!(table.contains("Earnings / 50 / baseline"));
 
         let deltas = serve_gate(&serve_report(1000.0, 5.0), &serve_report(600.0, 2.0), 0.30);
-        let table = render_serve_table(&deltas);
+        let table = render_table(&deltas);
         assert!(table.contains("throughput_rps") && table.contains("p99_ms"));
         assert!(table.contains("FAIL") && table.contains("ok"));
     }

@@ -14,7 +14,7 @@
 //! treated as misses: the worst a damaged cache can do is recompute.
 //!
 //! Failed cells (a worker that panicked twice, see
-//! [`crate::parallel::par_try_map_indexed`]) are recorded too — under a
+//! [`fieldswap_parallel::par_try_map_indexed`]) are recorded too — under a
 //! distinct `.failed.json` suffix so they are *diagnostic only*: a
 //! resumed run always re-attempts them rather than trusting a panic.
 //!

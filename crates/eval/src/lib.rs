@@ -20,13 +20,13 @@
 //!   IV-B, "Evaluation").
 //! * **Box-plot statistics** ([`boxplot`]) — quartiles, 1.5-IQR whiskers,
 //!   and outliers for the per-field delta analysis of Fig. 6.
-//! * **Parallel primitives** ([`parallel`]) — the scoped worker pool and
-//!   exactly-once concurrent cache behind the harness's `jobs` knob.
-//!   Grids fan out across threads with results bit-identical to a serial
-//!   run: every experiment's randomness derives purely from its
-//!   `(domain, size, arm, sample, trial)` coordinates. Worker slots run
-//!   under `catch_unwind` with one retry, so a poisoned cell degrades to
-//!   a counted failure instead of killing the grid.
+//! * **Parallelism** — the harness's `jobs` knob fans grids out over the
+//!   scoped worker pool and exactly-once concurrent cache of
+//!   [`fieldswap_parallel`], re-exported at this crate's root. Results are
+//!   bit-identical to a serial run: every experiment's randomness derives
+//!   purely from its `(domain, size, arm, sample, trial)` coordinates.
+//!   Worker slots run under `catch_unwind` with one retry, so a poisoned
+//!   cell degrades to a counted failure instead of killing the grid.
 //! * **Checkpointing** ([`checkpoint`]) — per-cell JSON persistence keyed
 //!   by grid coordinates plus an options fingerprint; a killed run
 //!   resumed from its checkpoint directory produces byte-identical
@@ -40,14 +40,15 @@ pub mod boxplot;
 pub mod checkpoint;
 pub mod expert;
 pub mod metrics;
-pub mod parallel;
 pub mod robustness;
 pub mod runner;
 
 pub use boxplot::BoxStats;
 pub use checkpoint::{attacks_fingerprint, options_fingerprint, CellCache, CellCoords};
 pub use expert::expert_config;
+pub use fieldswap_parallel::{
+    effective_jobs, par_map_indexed, par_try_map_indexed, OnceMap, SlotPanic,
+};
 pub use metrics::{evaluate, evaluate_frozen, EvalResult, FieldScore, QUANT_MACRO_F1_EPSILON};
-pub use parallel::{effective_jobs, par_map_indexed, par_try_map_indexed, OnceMap, SlotPanic};
 pub use robustness::{AttackSpec, AttackSummary, RobustnessPoint, RobustnessResult};
 pub use runner::{cell_seed, Arm, ExperimentResult, Harness, HarnessOptions, PointSummary};

@@ -22,7 +22,6 @@
 use crate::checkpoint::{CellCache, CellCoords};
 use crate::expert::expert_config;
 use crate::metrics::EvalResult;
-use crate::parallel::{par_map_indexed, par_try_map_indexed, OnceMap, SlotPanic};
 use crate::robustness::AttackSpec;
 use fieldswap_core::{
     attack_corpus, AttackKind, EngineOptions, FieldSwapConfig, PairStrategy, SwapPlan,
@@ -31,6 +30,7 @@ use fieldswap_datagen::{generate_jobs, Domain};
 use fieldswap_docmodel::Corpus;
 use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
 use fieldswap_keyphrase::{infer_key_phrases, ImportanceModel, InferenceConfig, ModelConfig};
+use fieldswap_parallel::{par_map_indexed, par_try_map_indexed, OnceMap, SlotPanic};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

@@ -891,6 +891,19 @@ fn bs_sweep_scalar(
     }
 }
 
+/// The vector tier the decode kernels dispatch to on this CPU:
+/// `avx512f`, `avx2` or `scalar` (the baseline target, also every
+/// non-x86-64 build).
+pub fn simd_tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    match simd_level() {
+        3 => return "avx512f",
+        2 => return "avx2",
+        _ => {}
+    }
+    "scalar"
+}
+
 /// Runtime SIMD dispatch level, detected once: 1 = baseline (the default
 /// x86-64 target only assumes SSE2), 2 = AVX2 (8-lane), 3 = AVX-512F
 /// (16-lane). The explicit wide variants below exist because the hot
@@ -1093,7 +1106,6 @@ const _: () = assert!(WEIGHT_DIM.is_multiple_of(QBLOCK));
 mod tests {
     use super::*;
     use crate::model::TrainConfig;
-    use crate::serialize::ModelParts;
     use fieldswap_datagen::{generate, Domain};
     use fieldswap_docmodel::{BBox, Corpus, DocumentBuilder, Token};
 
@@ -1357,25 +1369,14 @@ mod tests {
                 ),
                 |(docs, wvals, tvals)| {
                     let n_tags = 1 + 4 * schema.len();
-                    let parts = ModelParts {
-                        n_fields: schema.len(),
-                        field_types: schema
-                            .iter()
-                            .map(|(_, f)| {
-                                fieldswap_docmodel::BaseType::ALL
-                                    .iter()
-                                    .position(|x| *x == f.base_type)
-                                    .unwrap() as u8
-                            })
-                            .collect(),
-                        weights: (0..WEIGHT_DIM).map(|i| wvals[i % wvals.len()]).collect(),
-                        transitions: (0..n_tags * n_tags)
+                    let ex = Extractor::from_tables(
+                        schema.iter().map(|(_, f)| f.base_type).collect(),
+                        (0..WEIGHT_DIM).map(|i| wvals[i % wvals.len()]).collect(),
+                        (0..n_tags * n_tags)
                             .map(|i| tvals[i % tvals.len()])
                             .collect(),
-                        lexicon_docs: lexicon.n_docs(),
-                        lexicon_entries: lexicon.entries(),
-                    };
-                    let ex = Extractor::from_parts(parts);
+                        lexicon.clone(),
+                    );
                     let frozen = ex.freeze();
                     for spec in &docs {
                         let d = doc_from_spec(spec);

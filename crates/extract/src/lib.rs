@@ -37,7 +37,7 @@ pub mod tags;
 pub use infer::{FrozenModel, InferScratch};
 pub use lexicon::Lexicon;
 pub use model::{Extractor, TrainConfig, TrainReport};
-pub use serialize::{ModelIoError, ModelParts};
+pub use serialize::ModelIoError;
 pub use tags::TagSet;
 
 // The parallel harness trains extractors on worker threads against a

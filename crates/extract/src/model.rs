@@ -700,9 +700,8 @@ impl Extractor {
         )
     }
 
-    /// Divergence-recovery statistics from the last training run. An
-    /// extractor reassembled with [`Extractor::from_parts`] reports the
-    /// default (empty) record.
+    /// Divergence-recovery statistics from the last training run; an
+    /// untrained extractor reports the default (empty) record.
     pub fn train_report(&self) -> &TrainReport {
         &self.train_report
     }
@@ -960,52 +959,6 @@ impl Extractor {
         self.freeze().predict(doc, &mut InferScratch::default())
     }
 
-    /// Decomposes a finalized extractor into its serializable parts.
-    ///
-    /// # Panics
-    /// Panics when training has not been finalized.
-    pub fn to_parts(&self) -> crate::serialize::ModelParts {
-        assert!(self.averaged, "serialize only finalized extractors");
-        crate::serialize::ModelParts {
-            n_fields: self.tags.n_fields(),
-            field_types: self
-                .field_types
-                .iter()
-                .map(|t| BaseType::ALL.iter().position(|x| x == t).unwrap() as u8)
-                .collect(),
-            weights: self.w.clone(),
-            transitions: self.trans.clone(),
-            lexicon_docs: self.lexicon.n_docs(),
-            lexicon_entries: self.lexicon.entries(),
-        }
-    }
-
-    /// Reassembles an extractor from serialized parts. The result is
-    /// finalized (ready for prediction, not further training).
-    pub fn from_parts(parts: crate::serialize::ModelParts) -> Extractor {
-        let tags = TagSet::new(parts.n_fields);
-        let n_tags = tags.len();
-        Extractor {
-            tags,
-            field_types: parts
-                .field_types
-                .iter()
-                .map(|&t| BaseType::ALL[t as usize])
-                .collect(),
-            w: parts.weights,
-            w_acc: Vec::new(),
-            trans: parts.transitions,
-            trans_acc: vec![0.0; n_tags * n_tags],
-            step: 0,
-            averaged: true,
-            lexicon: crate::serialize::lexicon_from_entries(
-                parts.lexicon_docs,
-                parts.lexicon_entries,
-            ),
-            train_report: TrainReport::default(),
-        }
-    }
-
     /// Convenience: trains a fresh extractor on a corpus plus synthetic
     /// documents.
     pub fn train_on(
@@ -1057,6 +1010,28 @@ impl EpochRunner for ReferenceTrainer<'_> {
 
 #[cfg(test)]
 impl Extractor {
+    /// A finalized extractor over arbitrary tables, for tests that need
+    /// models training would never produce.
+    pub(crate) fn from_tables(
+        field_types: Vec<BaseType>,
+        w: Vec<f32>,
+        trans: Vec<f32>,
+        lexicon: Lexicon,
+    ) -> Extractor {
+        Extractor {
+            tags: TagSet::new(field_types.len()),
+            field_types,
+            w,
+            w_acc: Vec::new(),
+            trans,
+            trans_acc: Vec::new(),
+            step: 0,
+            averaged: true,
+            lexicon,
+            train_report: TrainReport::default(),
+        }
+    }
+
     /// [`Extractor::train_mixed`] through the naive reference trainer.
     fn train_reference(
         &mut self,
@@ -1589,7 +1564,7 @@ mod tests {
                     ..TrainConfig::tiny()
                 },
             );
-            (*ex.train_report(), ex.to_bytes().unwrap())
+            (*ex.train_report(), ex.freeze().to_bytes().unwrap())
         };
         let serial = run(1);
         for jobs in [2, 3, 8] {
@@ -1609,7 +1584,7 @@ mod tests {
                 ..TrainConfig::tiny()
             };
             let ex = Extractor::train_on(&train.schema, Lexicon::empty(), &train, &[], &cfg);
-            (*ex.train_report(), ex.to_bytes().unwrap())
+            (*ex.train_report(), ex.freeze().to_bytes().unwrap())
         };
         let (report1, bytes1) = run(1);
         assert_eq!(report1.retries, 1);
@@ -1653,7 +1628,7 @@ mod tests {
                                 ..TrainConfig::default()
                             },
                         );
-                        ex.to_bytes().unwrap()
+                        ex.freeze().to_bytes().unwrap()
                     };
                     prop_assert_eq!(run(1), run(jobs));
                     Ok(())
@@ -1662,10 +1637,10 @@ mod tests {
             .unwrap();
     }
 
-    /// FNV-1a (64-bit, canonical constants) of a serialized model.
+    /// FNV-1a (64-bit, canonical constants) of a model's FSFROZN1 bytes.
     fn model_digest(ex: &Extractor) -> u64 {
         let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for &b in &ex.to_bytes().unwrap() {
+        for &b in &ex.freeze().to_bytes().unwrap() {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x100_0000_01B3);
         }
@@ -1709,20 +1684,21 @@ mod tests {
 
     #[test]
     fn trained_model_digests_are_pinned() {
-        // Cross-commit anchor: the serialized bytes of two fixed cells —
-        // the first with synthetics, the second a baseline — at the
-        // values the hashed-gather trainer produced before training
-        // moved onto the structure-of-arrays decoder. Any drift in
+        // Cross-commit anchor: the `freeze().to_bytes()` bytes of two
+        // fixed cells — the first with synthetics, the second a
+        // baseline. The values were computed before FSFROZN1 became the
+        // only model format, by the same, unchanged FSFROZN1 writer, so
+        // they pin the trained tables across that change. Any drift in
         // decoding, update order or write-through shows up here.
         for jobs in [1, 4] {
             assert_eq!(
                 model_digest(&earnings_synthetic_cell(jobs)),
-                0xb8e4_8526_20c7_2849,
+                0x0f9e_92c4_1b47_a7fd,
                 "earnings + synthetics, train_jobs={jobs}"
             );
             assert_eq!(
                 model_digest(&loan_baseline_cell(jobs)),
-                0x585b_c430_8229_e0af,
+                0x6942_3136_32e1_2d37,
                 "loan baseline, train_jobs={jobs}"
             );
         }
@@ -1788,7 +1764,9 @@ mod tests {
                     prop_assert_eq!(live.train_report(), reference.train_report());
                     prop_assert_eq!(mode == 2, live.train_report().exhausted);
                     prop_assert_eq!(mode != 0, live.train_report().retries > 0);
-                    prop_assert!(live.to_bytes().unwrap() == reference.to_bytes().unwrap());
+                    prop_assert!(
+                        live.freeze().to_bytes().unwrap() == reference.freeze().to_bytes().unwrap()
+                    );
                     prop_assert!(rows.aliased_writes > 0, "no aliased write-through");
                     Ok(())
                 },

@@ -1,26 +1,45 @@
-//! Binary serialization of trained extractors.
+//! Binary serialization of trained models: FSFROZN1, the one on-disk
+//! format.
 //!
-//! Trained models are plain weight tables, so the format is a small
-//! length-prefixed binary layout (magic + version + dimensions + f32
-//! arrays + the lexicon). No external serialization crate is needed, and
+//! A trained [`crate::Extractor`] is saved with
+//! `extractor.freeze().to_bytes()` and loaded with
+//! [`FrozenModel::from_bytes`]; the server's model registry reads the
+//! same bytes. Trained models are plain weight tables, so the format is
+//! a small length-prefixed little-endian layout, one section after the
+//! other:
+//!
+//! | section | contents |
+//! |---|---|
+//! | magic header | `FSFROZN1` |
+//! | field count | `u64` n, at most 4096 |
+//! | field-type table | n `u8` base-type discriminants |
+//! | emission header | `u64` variant: 0 = f32, 1 = int8 |
+//! | emission weights | `u64` length (= `WEIGHT_DIM`), then the f32s; int8 stores block size, mins, scales and bytes instead |
+//! | transition weights | `u64` length (= (1 + 4n)²), then the f32s |
+//! | lexicon header | `u64` document count, `u64` entry count |
+//! | lexicon entries | per entry a `u64` length, the UTF-8 token, a `u64` count |
+//!
+//! The reader checks each size before it allocates, and reports a
+//! truncated or mis-sized section as [`ModelIoError::Format`] naming the
+//! section. No external serialization crate is needed, and
 //! round-tripping is exact (bit-identical predictions).
 
 use crate::infer::{EmissionTable, FrozenModel, QBLOCK};
 use crate::lexicon::Lexicon;
-use crate::model::{Extractor, WEIGHT_DIM};
+use crate::model::WEIGHT_DIM;
 use crate::tags::TagSet;
 use fieldswap_docmodel::BaseType;
 use std::io::{self, Read, Write};
 
-const MAGIC: &[u8; 8] = b"FSEXTRC1";
-const FROZEN_MAGIC: &[u8; 8] = b"FSFROZN1";
+const MAGIC: &[u8; 8] = b"FSFROZN1";
+const MAX_FIELDS: usize = 1 << 12;
 
 /// Errors from model (de)serialization.
 #[derive(Debug)]
 pub enum ModelIoError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The input is not a serialized extractor or is corrupt.
+    /// The input is not a serialized model or is corrupt.
     Format(String),
 }
 
@@ -123,129 +142,6 @@ fn read_string<R: Read>(r: &mut R) -> Result<String, ModelIoError> {
     String::from_utf8(b).map_err(|e| ModelIoError::Format(e.to_string()))
 }
 
-/// Serializable snapshot of the extractor internals, produced by
-/// [`Extractor::to_parts`] and consumed by [`Extractor::from_parts`].
-pub struct ModelParts {
-    /// Number of schema fields.
-    pub n_fields: usize,
-    /// Field base types as `u8` discriminants (BaseType::ALL order).
-    pub field_types: Vec<u8>,
-    /// Emission weight table.
-    pub weights: Vec<f32>,
-    /// Transition weight table.
-    pub transitions: Vec<f32>,
-    /// DF lexicon entries `(token, count)` plus the doc count.
-    pub lexicon_docs: u32,
-    /// Lexicon token/count pairs.
-    pub lexicon_entries: Vec<(String, u32)>,
-}
-
-impl ModelParts {
-    /// Writes the parts to `w` in the binary format.
-    pub fn write<W: Write>(&self, w: &mut W) -> Result<(), ModelIoError> {
-        w.write_all(MAGIC)?;
-        write_u64(w, self.n_fields as u64)?;
-        write_u64(w, self.field_types.len() as u64)?;
-        w.write_all(&self.field_types)?;
-        write_f32s(w, &self.weights)?;
-        write_f32s(w, &self.transitions)?;
-        write_u64(w, u64::from(self.lexicon_docs))?;
-        write_u64(w, self.lexicon_entries.len() as u64)?;
-        for (tok, count) in &self.lexicon_entries {
-            write_string(w, tok, "lexicon entries")?;
-            write_u64(w, u64::from(*count))?;
-        }
-        Ok(())
-    }
-
-    /// Reads parts from `r`, validating the header. A stream that ends
-    /// mid-section surfaces as [`ModelIoError::Format`] naming the
-    /// section, never as a bare `Io(UnexpectedEof)`.
-    pub fn read<R: Read>(r: &mut R) -> Result<ModelParts, ModelIoError> {
-        let mut magic = [0u8; 8];
-        in_section("magic header", || Ok(r.read_exact(&mut magic)?))?;
-        if &magic != MAGIC {
-            return Err(ModelIoError::Format("bad magic".into()));
-        }
-        let n_fields = in_section("field count", || Ok(read_u64(r)?))? as usize;
-        let nt = in_section("field-type count", || Ok(read_u64(r)?))? as usize;
-        if nt != n_fields {
-            return Err(ModelIoError::Format(format!(
-                "field-type count {nt} != field count {n_fields}"
-            )));
-        }
-        let mut field_types = vec![0u8; nt];
-        in_section("field-type table", || Ok(r.read_exact(&mut field_types)?))?;
-        if field_types.iter().any(|&t| t > 4) {
-            return Err(ModelIoError::Format("bad base-type discriminant".into()));
-        }
-        let weights = in_section("emission weights", || read_f32s(r))?;
-        let transitions = in_section("transition weights", || read_f32s(r))?;
-        let expected_tags = 1 + 4 * n_fields;
-        if transitions.len() != expected_tags * expected_tags {
-            return Err(ModelIoError::Format(format!(
-                "transition table size {} != {}",
-                transitions.len(),
-                expected_tags * expected_tags
-            )));
-        }
-        let lexicon_docs = in_section("lexicon header", || Ok(read_u64(r)?))? as u32;
-        let n_entries = in_section("lexicon header", || Ok(read_u64(r)?))? as usize;
-        if n_entries > 1 << 24 {
-            return Err(ModelIoError::Format("lexicon too large".into()));
-        }
-        let mut lexicon_entries = Vec::with_capacity(n_entries);
-        in_section("lexicon entries", || {
-            for _ in 0..n_entries {
-                let tok = read_string(r)?;
-                let count = read_u64(r)? as u32;
-                lexicon_entries.push((tok, count));
-            }
-            Ok(())
-        })?;
-        Ok(ModelParts {
-            n_fields,
-            field_types,
-            weights,
-            transitions,
-            lexicon_docs,
-            lexicon_entries,
-        })
-    }
-}
-
-/// Rebuilds a lexicon from serialized entries.
-pub fn lexicon_from_entries(n_docs: u32, entries: Vec<(String, u32)>) -> Lexicon {
-    Lexicon::from_raw(n_docs, entries)
-}
-
-impl Extractor {
-    /// Serializes the trained model to a byte vector. Fails with
-    /// [`ModelIoError::Format`] when the model holds a string the
-    /// deserializer would reject (e.g. an oversized lexicon token) —
-    /// enforcing the cap at write time keeps every written model
-    /// loadable.
-    ///
-    /// # Panics
-    /// Panics when called on an extractor that has not finished training
-    /// (averaging not applied) — persisting a half-trained model is a
-    /// programming error.
-    pub fn to_bytes(&self) -> Result<Vec<u8>, ModelIoError> {
-        let parts = self.to_parts();
-        let mut out = Vec::new();
-        parts.write(&mut out)?;
-        Ok(out)
-    }
-
-    /// Deserializes a model previously produced by
-    /// [`Extractor::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Extractor, ModelIoError> {
-        let mut cursor = bytes;
-        let parts = ModelParts::read(&mut cursor)?;
-        Ok(Extractor::from_parts(parts))
-    }
-}
-
 impl FrozenModel {
     /// Serializes the frozen model (f32 or quantized) to a byte vector.
     /// Only the canonical tables are stored; the permuted inference
@@ -257,7 +153,7 @@ impl FrozenModel {
         let (field_types, emissions, trans, lexicon) = self.serial_parts();
         let mut w: Vec<u8> = Vec::new();
         let out = &mut w;
-        out.write_all(FROZEN_MAGIC)?;
+        out.write_all(MAGIC)?;
         write_u64(out, field_types.len() as u64)?;
         let discr: Vec<u8> = field_types
             .iter()
@@ -295,12 +191,14 @@ impl FrozenModel {
         let r = &mut { bytes };
         let mut magic = [0u8; 8];
         in_section("magic header", || Ok(r.read_exact(&mut magic)?))?;
-        if &magic != FROZEN_MAGIC {
+        if &magic != MAGIC {
             return Err(ModelIoError::Format("bad frozen-model magic".into()));
         }
         let n_fields = in_section("field count", || Ok(read_u64(r)?))? as usize;
-        if n_fields > 1 << 12 {
-            return Err(ModelIoError::Format("too many fields".into()));
+        if n_fields > MAX_FIELDS {
+            return Err(ModelIoError::Format(format!(
+                "field count {n_fields} exceeds {MAX_FIELDS}"
+            )));
         }
         let mut discr = vec![0u8; n_fields];
         in_section("field-type table", || Ok(r.read_exact(&mut discr)?))?;
@@ -314,7 +212,7 @@ impl FrozenModel {
                 let weights = in_section("emission weights", || read_f32s(r))?;
                 if weights.len() != WEIGHT_DIM {
                     return Err(ModelIoError::Format(format!(
-                        "emission table size {} != {WEIGHT_DIM}",
+                        "emission weights: table size {} != {WEIGHT_DIM}",
                         weights.len()
                     )));
                 }
@@ -353,7 +251,7 @@ impl FrozenModel {
         let nt = 1 + 4 * n_fields;
         if transitions.len() != nt * nt {
             return Err(ModelIoError::Format(format!(
-                "transition table size {} != {}",
+                "transition weights: table size {} != {}",
                 transitions.len(),
                 nt * nt
             )));
@@ -386,125 +284,101 @@ impl FrozenModel {
 mod tests {
     use super::*;
     use crate::infer::InferScratch;
-    use crate::model::TrainConfig;
+    use crate::model::{Extractor, TrainConfig};
     use fieldswap_datagen::{generate, Domain};
 
-    #[test]
-    fn round_trip_preserves_predictions() {
-        let train = generate(Domain::Fara, 7, 25);
-        let test = generate(Domain::Fara, 8, 10);
-        let lex = Lexicon::pretrain(&train.documents);
-        let ex = Extractor::train_on(&train.schema, lex, &train, &[], &TrainConfig::tiny());
-        let bytes = ex.to_bytes().unwrap();
-        let back = Extractor::from_bytes(&bytes).unwrap();
-        for d in &test.documents {
-            assert_eq!(
-                ex.predict(d),
-                back.predict(d),
-                "prediction drift on {}",
-                d.id
-            );
-        }
+    fn tiny_model(seed: u64, lexicon: Lexicon) -> FrozenModel {
+        let train = generate(Domain::Fara, seed, 5);
+        Extractor::train_on(&train.schema, lexicon, &train, &[], &TrainConfig::tiny()).freeze()
     }
 
-    #[test]
-    fn rejects_garbage() {
-        assert!(Extractor::from_bytes(b"not a model").is_err());
-        assert!(Extractor::from_bytes(b"").is_err());
-        // Right magic, truncated body.
-        assert!(Extractor::from_bytes(b"FSEXTRC1\x01").is_err());
+    fn expect_format(bytes: &[u8], section: &str) {
+        match FrozenModel::from_bytes(bytes) {
+            Err(ModelIoError::Format(msg)) => assert!(
+                msg.contains(section),
+                "expected section {section:?} in {msg:?}"
+            ),
+            Err(ModelIoError::Io(e)) => panic!("{section}: bare Io({e}) instead of Format"),
+            Ok(_) => panic!("{section}: corrupt model accepted"),
+        }
     }
 
     #[test]
     fn truncation_reports_format_with_section() {
         let train = generate(Domain::Fara, 11, 5);
-        let ex = Extractor::train_on(
-            &train.schema,
-            Lexicon::pretrain(&train.documents),
-            &train,
-            &[],
-            &TrainConfig::tiny(),
-        );
-        let bytes = ex.to_bytes().unwrap();
-        let parts = ex.to_parts();
+        let frozen = tiny_model(11, Lexicon::pretrain(&train.documents));
+        let bytes = frozen.to_bytes().unwrap();
+        let n_fields = frozen.n_fields();
+        let n_tags = frozen.tag_set().len();
 
-        // Section boundaries in the layout (see `ModelParts::write`).
+        // Section boundaries in the layout (see the module docs).
         let after_magic = 8;
-        let after_header = after_magic + 16;
-        let after_types = after_header + parts.field_types.len();
-        let after_weights = after_types + 8 + 4 * parts.weights.len();
-        let after_transitions = after_weights + 8 + 4 * parts.transitions.len();
+        let after_count = after_magic + 8;
+        let after_types = after_count + n_fields;
+        let after_variant = after_types + 8;
+        let after_weights = after_variant + 8 + 4 * WEIGHT_DIM;
+        let after_transitions = after_weights + 8 + 4 * n_tags * n_tags;
         let cases = [
             (3, "magic header"),
             (after_magic + 2, "field count"),
-            (after_magic + 12, "field-type count"),
-            (after_header + 1, "field-type table"),
-            (after_types + 3, "emission weights"),
-            (after_types + 1000, "emission weights"),
+            (after_count + 1, "field-type table"),
+            (after_types + 3, "emission header"),
+            (after_variant + 5, "emission weights"),
+            (after_variant + 1000, "emission weights"),
             (after_weights + 5, "transition weights"),
             (after_transitions + 7, "lexicon header"),
+            (after_transitions + 12, "lexicon header"),
             (bytes.len() - 1, "lexicon entries"),
         ];
         for (cut, section) in cases {
-            let err = Extractor::from_bytes(&bytes[..cut])
-                .err()
-                .unwrap_or_else(|| panic!("truncation at {cut} accepted"));
-            match err {
-                ModelIoError::Format(msg) => assert!(
-                    msg.contains(section),
-                    "cut at {cut}: expected section {section:?} in {msg:?}"
-                ),
-                ModelIoError::Io(e) => {
-                    panic!("cut at {cut} surfaced as bare Io({e}) instead of Format")
-                }
-            }
+            expect_format(&bytes[..cut], section);
         }
 
         // Round trip: the untruncated bytes still deserialize exactly.
-        let back = Extractor::from_bytes(&bytes).unwrap();
+        let back = FrozenModel::from_bytes(&bytes).unwrap();
         let probe = generate(Domain::Fara, 12, 3);
+        let mut s1 = InferScratch::default();
+        let mut s2 = InferScratch::default();
         for d in &probe.documents {
-            assert_eq!(ex.predict(d), back.predict(d));
+            assert_eq!(frozen.predict(d, &mut s1), back.predict(d, &mut s2));
         }
     }
 
     #[test]
-    fn real_io_errors_pass_through_unmapped() {
-        // A reader failing with a non-EOF kind must stay `Io`: only
-        // truncation is reinterpreted as a format problem.
-        struct Broken;
-        impl std::io::Read for Broken {
-            fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::PermissionDenied,
-                    "no",
-                ))
-            }
-        }
-        match ModelParts::read(&mut Broken) {
-            Err(ModelIoError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::PermissionDenied)
-            }
-            Err(other) => panic!("expected Io(PermissionDenied), got {other:?}"),
-            Ok(_) => panic!("read from a broken reader succeeded"),
-        }
+    fn rejects_out_of_range_sizes() {
+        // Each size check that guards a later index into the tables.
+        let frozen = tiny_model(16, Lexicon::empty());
+        let bytes = frozen.to_bytes().unwrap();
+        let n_tags = frozen.tag_set().len();
+        let after_variant = 8 + 8 + frozen.n_fields() + 8;
+        let after_weights = after_variant + 8 + 4 * WEIGHT_DIM;
+
+        // An emission table shorter than `WEIGHT_DIM`: feature buckets
+        // would index past its end at the first prediction.
+        let mut short = bytes[..after_variant].to_vec();
+        write_f32s(&mut short, &[0.5; 16]).unwrap();
+        short.extend_from_slice(&bytes[after_weights..]);
+        expect_format(&short, "emission weights");
+
+        // A transition table sized for a different tag set.
+        let mut trans = bytes[..after_weights].to_vec();
+        write_f32s(&mut trans, &vec![0.0; (n_tags + 4) * (n_tags + 4)]).unwrap();
+        expect_format(&trans, "transition weights");
+
+        // A field count above the cap, checked before any allocation.
+        let mut fields = MAGIC.to_vec();
+        write_u64(&mut fields, MAX_FIELDS as u64 + 1).unwrap();
+        fields.extend_from_slice(&bytes[16..]);
+        expect_format(&fields, "field count");
     }
 
     #[test]
     fn rejects_tampered_field_types() {
-        let train = generate(Domain::Fara, 9, 5);
-        let ex = Extractor::train_on(
-            &train.schema,
-            Lexicon::empty(),
-            &train,
-            &[],
-            &TrainConfig::tiny(),
-        );
-        let mut bytes = ex.to_bytes().unwrap();
-        // Corrupt a base-type discriminant (first byte after magic +
-        // 2 u64 lengths = 8 + 8 + 8 = offset 24).
-        bytes[24] = 99;
-        assert!(Extractor::from_bytes(&bytes).is_err());
+        let mut bytes = tiny_model(9, Lexicon::empty()).to_bytes().unwrap();
+        // Corrupt a base-type discriminant (first byte after magic + the
+        // u64 field count = offset 16).
+        bytes[16] = 99;
+        expect_format(&bytes, "base-type discriminant");
     }
 
     #[test]
@@ -554,19 +428,8 @@ mod tests {
     fn frozen_rejects_garbage() {
         assert!(FrozenModel::from_bytes(b"not a model").is_err());
         assert!(FrozenModel::from_bytes(b"").is_err());
-        // An extractor blob is not a frozen blob and vice versa.
-        let train = generate(Domain::Fara, 25, 5);
-        let ex = Extractor::train_on(
-            &train.schema,
-            Lexicon::empty(),
-            &train,
-            &[],
-            &TrainConfig::tiny(),
-        );
-        assert!(FrozenModel::from_bytes(&ex.to_bytes().unwrap()).is_err());
-        assert!(Extractor::from_bytes(&ex.freeze().to_bytes().unwrap()).is_err());
         // Truncations surface as Format errors naming a section.
-        let bytes = ex.freeze().to_bytes().unwrap();
+        let bytes = tiny_model(25, Lexicon::empty()).to_bytes().unwrap();
         for cut in [3usize, 9, 20, bytes.len() / 2, bytes.len() - 1] {
             match FrozenModel::from_bytes(&bytes[..cut]) {
                 Err(ModelIoError::Format(_)) => {}
@@ -578,66 +441,10 @@ mod tests {
 
     #[test]
     fn serialized_size_is_reasonable() {
-        let train = generate(Domain::Fara, 10, 5);
-        let ex = Extractor::train_on(
-            &train.schema,
-            Lexicon::empty(),
-            &train,
-            &[],
-            &TrainConfig::tiny(),
-        );
-        let bytes = ex.to_bytes().unwrap();
+        let bytes = tiny_model(10, Lexicon::empty()).to_bytes().unwrap();
         // 1M-bucket weight table of f32 dominates: ~4 MiB + small extras.
         assert!(bytes.len() > 4 << 20);
         assert!(bytes.len() < 8 << 20);
-    }
-
-    #[test]
-    fn string_at_cap_round_trips() {
-        // A lexicon token of exactly MAX_STRING_BYTES is legal on both
-        // sides of the boundary: it writes and loads back unchanged.
-        let train = generate(Domain::Fara, 13, 5);
-        let ex = Extractor::train_on(
-            &train.schema,
-            Lexicon::empty(),
-            &train,
-            &[],
-            &TrainConfig::tiny(),
-        );
-        let mut parts = ex.to_parts();
-        let tok = "a".repeat(MAX_STRING_BYTES);
-        parts.lexicon_entries.push((tok.clone(), 3));
-        let mut bytes = Vec::new();
-        parts.write(&mut bytes).unwrap();
-        let back = ModelParts::read(&mut bytes.as_slice()).unwrap();
-        assert!(back.lexicon_entries.contains(&(tok, 3)));
-    }
-
-    #[test]
-    fn string_over_cap_fails_at_write_time() {
-        // Regression test for the write/read asymmetry: an oversized
-        // lexicon token used to serialize fine and then fail to load.
-        // Now the *write* fails, with a Format error naming the section.
-        let train = generate(Domain::Fara, 14, 5);
-        let ex = Extractor::train_on(
-            &train.schema,
-            Lexicon::empty(),
-            &train,
-            &[],
-            &TrainConfig::tiny(),
-        );
-        let mut parts = ex.to_parts();
-        parts
-            .lexicon_entries
-            .push(("a".repeat(MAX_STRING_BYTES + 1), 3));
-        let mut bytes = Vec::new();
-        match parts.write(&mut bytes) {
-            Err(ModelIoError::Format(msg)) => assert!(
-                msg.contains("lexicon entries"),
-                "error must name the offending section: {msg}"
-            ),
-            other => panic!("oversized token accepted at write time: {other:?}"),
-        }
     }
 
     #[test]

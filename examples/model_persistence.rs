@@ -1,6 +1,8 @@
 //! Train → save → load → predict: the deployment loop a downstream user
-//! runs. Also shows corpus/config JSON round-trips for interchange with
-//! other tooling.
+//! runs. The saved file is FSFROZN1, the one model format, so
+//! `fieldswap-serve serve --models DIR` can load it from `DIR` as is.
+//! Also shows corpus/config JSON round-trips for interchange with other
+//! tooling.
 //!
 //! ```sh
 //! cargo run --release -p fieldswap-integration --example model_persistence
@@ -8,8 +10,8 @@
 
 use fieldswap_core::{augment_corpus, FieldSwapConfig, PairStrategy};
 use fieldswap_datagen::{generate, Domain};
-use fieldswap_eval::evaluate;
-use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
+use fieldswap_eval::evaluate_frozen;
+use fieldswap_extract::{Extractor, FrozenModel, Lexicon, TrainConfig};
 
 fn main() {
     let dir = std::env::temp_dir().join("fieldswap-example");
@@ -49,9 +51,9 @@ fn main() {
     );
 
     // --- Save the trained model.
-    let model_path = dir.join("brokerage.fsmodel");
-    std::fs::write(&model_path, extractor.to_bytes().expect("serialize model"))
-        .expect("write model");
+    let frozen = extractor.freeze();
+    let model_path = dir.join("brokerage.fsm");
+    std::fs::write(&model_path, frozen.to_bytes().expect("serialize model")).expect("write model");
     let size = std::fs::metadata(&model_path).unwrap().len();
     println!(
         "saved model: {} ({:.1} MiB)",
@@ -61,9 +63,9 @@ fn main() {
 
     // --- Load it back and verify identical behavior.
     let bytes = std::fs::read(&model_path).expect("read model");
-    let restored = Extractor::from_bytes(&bytes).expect("parse model");
-    let before = evaluate(&extractor, &test);
-    let after = evaluate(&restored, &test);
+    let restored = FrozenModel::from_bytes(&bytes).expect("parse model");
+    let before = evaluate_frozen(&frozen, &test);
+    let after = evaluate_frozen(&restored, &test);
     println!(
         "macro-F1 before save: {:.2}   after load: {:.2}",
         before.macro_f1(),

@@ -7,7 +7,7 @@ use fieldswap_core::{
     CrossDomainSpec, FieldSwapConfig, PairStrategy, ValueBank,
 };
 use fieldswap_datagen::{generate, Domain};
-use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
+use fieldswap_extract::{Extractor, FrozenModel, InferScratch, Lexicon, TrainConfig};
 use fieldswap_keyphrase::config_from_schema;
 
 #[test]
@@ -122,9 +122,13 @@ fn serialized_model_round_trip_end_to_end() {
             ..TrainConfig::default()
         },
     );
-    let bytes = ex.to_bytes().expect("serialize");
-    let restored = Extractor::from_bytes(&bytes).expect("round trip");
+    let frozen = ex.freeze();
+    let bytes = frozen.to_bytes().expect("serialize");
+    let restored = FrozenModel::from_bytes(&bytes).expect("round trip");
+    let mut scratch = InferScratch::default();
     for d in &test.documents {
-        assert_eq!(ex.predict(d), restored.predict(d));
+        let spans = restored.predict(d, &mut scratch);
+        assert_eq!(spans, frozen.predict(d, &mut scratch));
+        assert_eq!(spans, ex.predict(d));
     }
 }
