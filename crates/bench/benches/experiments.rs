@@ -21,7 +21,6 @@ fn bench_opts(seed: u64) -> HarnessOptions {
         seed,
         jobs: 1,
         train_jobs: 1,
-        sanitize: true,
         quantized: false,
     }
 }

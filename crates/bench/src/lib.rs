@@ -40,9 +40,6 @@
 //!   robustness binaries (`keyphrase-abbrev`, `token-drop`, `box-jitter`,
 //!   `line-merge-split`, `value-noise`, `separation-shift`, or `all`).
 //! * `--attack-strength <x>` — attack strength in `[0, 1]` (default 0.5).
-//! * `--no-sanitize` — skip document validation/repair at corpus
-//!   ingestion. Sanitization is a strict no-op on well-formed documents,
-//!   so this flag exists only to prove that byte-identity in CI.
 //! * `--quantized` — evaluate through the int8-quantized frozen
 //!   emission table instead of exact f32. Approximate (see the CI
 //!   quantization gate); training is unaffected.
@@ -114,10 +111,6 @@ pub struct BinArgs {
     pub attacks: Option<String>,
     /// Attack strength in `[0, 1]` (`--attack-strength`, default 0.5).
     pub attack_strength: Option<f64>,
-    /// Skip ingestion sanitization (`--no-sanitize`). Sanitization is a
-    /// strict no-op on well-formed corpora; CI diffs outputs with and
-    /// without this flag to prove it.
-    pub no_sanitize: bool,
     /// Evaluate through the int8-quantized frozen emission table
     /// (`--quantized`). Approximate; training is unaffected.
     pub quantized: bool,
@@ -205,7 +198,6 @@ impl BinArgs {
             resume: None,
             attacks: None,
             attack_strength: None,
-            no_sanitize: false,
             quantized: false,
             verbosity: None,
         };
@@ -275,7 +267,6 @@ impl BinArgs {
                     }
                     out.attack_strength = Some(s);
                 }
-                "--no-sanitize" => out.no_sanitize = true,
                 "--quantized" => out.quantized = true,
                 "--verbose" | "-v" => out.verbosity = Some(fieldswap_obs::Verbosity::Verbose),
                 "--quiet" | "-q" => out.verbosity = Some(fieldswap_obs::Verbosity::Quiet),
@@ -323,9 +314,6 @@ impl BinArgs {
         }
         if let Some(j) = self.train_jobs {
             o.train_jobs = j;
-        }
-        if self.no_sanitize {
-            o.sanitize = false;
         }
         o.quantized = self.quantized;
         o
@@ -447,7 +435,7 @@ fn parse_domain(name: &str) -> Option<Domain> {
 /// Prints `msg` plus the shared usage line to stderr and exits 1.
 pub fn usage(msg: &str) -> ! {
     fieldswap_obs::error!("{msg}");
-    eprintln!("usage: <bin> [--full|--quick] [--domain fara|fcc|brokerage|earnings|loan] [--seed N] [--json PATH] [--samples N] [--trials N] [--testcap N] [--jobs N] [--train-jobs N] [--trace PATH] [--trace-chrome PATH] [--flame PATH] [--metrics PATH] [--metrics-flush-secs N] [--obs-listen ADDR] [--checkpoint-dir PATH] [--resume PATH] [--attacks LIST] [--attack-strength X] [--no-sanitize] [--quantized] [--verbose|-v] [--quiet|-q]");
+    eprintln!("usage: <bin> [--full|--quick] [--domain fara|fcc|brokerage|earnings|loan] [--seed N] [--json PATH] [--samples N] [--trials N] [--testcap N] [--jobs N] [--train-jobs N] [--trace PATH] [--trace-chrome PATH] [--flame PATH] [--metrics PATH] [--metrics-flush-secs N] [--obs-listen ADDR] [--checkpoint-dir PATH] [--resume PATH] [--attacks LIST] [--attack-strength X] [--quantized] [--verbose|-v] [--quiet|-q]");
     std::process::exit(1)
 }
 
@@ -605,25 +593,24 @@ mod tests {
             "token-drop,box-jitter",
             "--attack-strength",
             "0.25",
-            "--no-sanitize",
         ]))
         .unwrap();
         assert_eq!(a.attacks.as_deref(), Some("token-drop,box-jitter"));
         assert_eq!(a.attack_strength, Some(0.25));
-        assert!(a.no_sanitize);
-        assert!(!a.harness_options().sanitize);
         let suite = a.attack_suite();
         assert_eq!(suite.len(), 2);
         assert!((suite[0].strength - 0.25).abs() < 1e-12);
 
-        // Default: sanitization on, full taxonomy at 0.5.
+        // Default: the full taxonomy at 0.5.
         let d = BinArgs::try_parse_from(&argv(&[])).unwrap();
-        assert!(d.harness_options().sanitize);
         assert_eq!(d.attack_suite().len(), 6);
         assert!((d.attack_suite()[0].strength - 0.5).abs() < 1e-12);
 
         let err = BinArgs::try_parse_from(&argv(&["--attack-strength", "1.5"])).unwrap_err();
         assert!(err.contains("outside"), "{err}");
+        // Ingestion sanitization always runs: there is no flag to skip it.
+        let err = BinArgs::try_parse_from(&argv(&["--no-sanitize"])).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
     }
 
     #[test]

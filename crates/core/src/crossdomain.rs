@@ -14,7 +14,9 @@
 //! makes in-domain type-to-type swaps safe.
 
 use crate::config::FieldSwapConfig;
-use crate::engine::{build_swap, discards, find_matches, match_texts, AugmentStats, EngineOptions};
+use crate::engine::{
+    build_swap, discards, match_texts, resolve_matches, AugmentStats, EngineOptions,
+};
 use crate::matcher::DocMatcher;
 use fieldswap_docmodel::{Corpus, Document, FieldId, Schema};
 
@@ -68,7 +70,7 @@ pub fn augment_cross_domain(
             if !doc.has_field(s) {
                 continue;
             }
-            let matches = find_matches(&matcher, spec.source_config.phrases(s), &mut stats);
+            let matches = resolve_matches(&matcher, spec.source_config.phrases(s), &mut stats);
             if matches.is_empty() {
                 continue;
             }
@@ -184,6 +186,54 @@ mod tests {
         let text: Vec<&str> = money.tokens.iter().map(|t| t.text.as_str()).collect();
         assert!(text.contains(&"payment") || text.contains(&"total"));
         assert!(text.contains(&"$512.00"));
+    }
+
+    #[test]
+    fn overlapping_source_phrases_resolve_like_in_domain_swaps() {
+        // Two "Amount Due" lines, and a source phrase that is a prefix of
+        // another. Every occurrence must be rewritten whole, exactly as
+        // the in-domain engine does: no stray "Due", no untouched line.
+        let mut b = DocumentBuilder::new("inv-2");
+        for (text, x, y) in [
+            ("Amount", 10.0, 10.0),
+            ("Due", 70.0, 10.0),
+            ("$512.00", 300.0, 10.0),
+            ("Amount", 10.0, 40.0),
+            ("Due", 70.0, 40.0),
+            ("$9.00", 300.0, 40.0),
+        ] {
+            let w = 8.0 * text.len() as f32;
+            b.push_token(Token::new(text, BBox::new(x, y, x + w, y + 12.0)));
+        }
+        b.push_annotation(EntitySpan::new(0, 2, 3));
+        b.push_annotation(EntitySpan::new(0, 5, 6));
+        let mut doc = b.build();
+        fieldswap_ocr::detect_lines(&mut doc);
+        let (ss, _ts) = schemas();
+        let mut sc = FieldSwapConfig::new(2);
+        sc.set_phrases(0, vec!["Amount".into(), "Amount Due".into()]);
+        let mut tc = FieldSwapConfig::new(2);
+        tc.set_phrases(1, vec!["Payment Total".into()]);
+        let spec = CrossDomainSpec {
+            source_config: &sc,
+            target_config: &tc,
+            pairs: vec![(0, 1)],
+        };
+        let (cross, _) = augment_cross_domain(&Corpus::new(ss, vec![doc.clone()]), &spec);
+        let text = |d: &Document| {
+            let words: Vec<&str> = d.tokens.iter().map(|t| t.text.as_str()).collect();
+            words.join(" ")
+        };
+        assert_eq!(cross.len(), 1);
+        assert_eq!(text(&cross[0]), "payment total $512.00 payment total $9.00");
+        assert!(cross[0].validate().is_ok());
+        assert_eq!(cross[0].annotations.len(), 2);
+
+        let mut in_domain = sc.clone();
+        in_domain.set_phrases(1, vec!["Payment Total".into()]);
+        in_domain.set_pairs(vec![(0, 1)]);
+        let (swapped, _) = crate::engine::augment_document(&doc, &in_domain);
+        assert_eq!(text(&swapped[0]), text(&cross[0]));
     }
 
     #[test]

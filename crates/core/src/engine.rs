@@ -111,16 +111,7 @@ pub fn augment_corpus_with(
 
 /// Generates all synthetic variants of one document under `config`.
 pub fn augment_document(doc: &Document, config: &FieldSwapConfig) -> (Vec<Document>, AugmentStats) {
-    augment_document_with(doc, config, &EngineOptions::default())
-}
-
-/// [`augment_document`] with explicit engine options.
-pub fn augment_document_with(
-    doc: &Document,
-    config: &FieldSwapConfig,
-    opts: &EngineOptions,
-) -> (Vec<Document>, AugmentStats) {
-    let plan = SwapPlan::plan(std::slice::from_ref(doc), config, opts);
+    let plan = SwapPlan::plan(std::slice::from_ref(doc), config, &EngineOptions::default());
     (plan.build_all(), plan.stats)
 }
 
@@ -210,13 +201,10 @@ impl<'a> SwapPlan<'a> {
             // The paper replaces "all matching source key phrases":
             // occurrences of different source phrases are all rewritten
             // in the same synthetic.
-            let matches = find_matches(&matcher, config.phrases(source), &mut self.stats);
+            let matches = resolve_matches(&matcher, config.phrases(source), &mut self.stats);
             if matches.is_empty() {
                 continue;
             }
-            // Drop overlapping matches (e.g. "base" inside "base salary"):
-            // keep the earliest-starting, longest occurrence.
-            let matches = drop_overlaps(matches);
             let old_texts = match_texts(&doc, &matches);
             let start = self.matches.len();
             self.matches.extend_from_slice(&matches);
@@ -281,10 +269,14 @@ impl<'a> SwapPlan<'a> {
     }
 }
 
-/// Every occurrence of any of `phrases` in the matcher's document, sorted
-/// by start and deduplicated, with probes and hits counted into `stats`.
-/// Shared with the cross-domain extension (`crate::crossdomain`).
-pub(crate) fn find_matches(
+/// The occurrences of `phrases` a swap rewrites: every match in the
+/// matcher's document, sorted by start, with overlaps resolved — where
+/// matches overlap (e.g. "base" inside "base salary"), the
+/// earliest-starting, longest one is kept — so [`build_swap`] sees
+/// disjoint, ordered spans. Probes and hits (before overlap resolution)
+/// are counted into `stats`. Shared with the cross-domain extension
+/// (`crate::crossdomain`).
+pub(crate) fn resolve_matches(
     matcher: &DocMatcher<'_>,
     phrases: &[String],
     stats: &mut AugmentStats,
@@ -296,11 +288,6 @@ pub(crate) fn find_matches(
     }
     stats.phrase_matches += matches.len();
     matches.sort_by_key(|m| m.start);
-    matches.dedup();
-    matches
-}
-
-fn drop_overlaps(matches: Vec<PhraseMatch>) -> Vec<PhraseMatch> {
     let mut out: Vec<PhraseMatch> = Vec::with_capacity(matches.len());
     for m in matches {
         match out.last_mut() {

@@ -53,8 +53,7 @@ pub use attacks::{attack_corpus, attack_document, AttackKind, STREAM_ATTACK};
 pub use config::FieldSwapConfig;
 pub use crossdomain::{augment_cross_domain, cross_pairs_by_type, CrossDomainSpec};
 pub use engine::{
-    augment_corpus, augment_corpus_with, augment_document, augment_document_with, AugmentStats,
-    EngineOptions, SwapPlan,
+    augment_corpus, augment_corpus_with, augment_document, AugmentStats, EngineOptions, SwapPlan,
 };
 pub use mapping::PairStrategy;
 pub use matcher::{find_phrase_matches, PhraseMatch};

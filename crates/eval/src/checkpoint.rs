@@ -8,6 +8,12 @@
 //! fingerprint of the [`HarnessOptions`] that produced it — a cache can
 //! never leak results across protocols, seeds, or model sizes.
 //!
+//! Every cell kind shares one record type. A `family` prefix on the file
+//! stem separates kinds whose results differ: plain grid cells use `""`,
+//! and a robustness suite's cells use `rob-<suite hash>-` (see
+//! [`crate::robustness::attacks_fingerprint`]), so a lookup under one
+//! family never sees another's records.
+//!
 //! The write is atomic (temp file + rename in the same directory), so a
 //! run killed mid-write leaves either the previous state or the complete
 //! new record, never a torn file. Unreadable or corrupt records are
@@ -23,10 +29,9 @@
 //! directory is byte-identical to an uninterrupted run: the cached cells
 //! are the exact values the live cells would have produced.
 
-use crate::robustness::{AttackSpec, RobustnessResult};
-use crate::runner::{mix_coords, Arm, ExperimentResult, HarnessOptions};
+use crate::runner::{mix_coords, Arm, HarnessOptions};
 use fieldswap_datagen::Domain;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -34,10 +39,6 @@ use std::path::{Path, PathBuf};
 /// semantics change, so stale caches read as misses instead of
 /// mis-parsing.
 const CELL_SCHEMA_VERSION: i64 = 2;
-
-/// Record-format version for robustness cells, independent of the plain
-/// cell schema so the two record families can evolve separately.
-const ROBUSTNESS_SCHEMA_VERSION: i64 = 1;
 
 /// Fingerprints every option that can influence a cell's result.
 ///
@@ -63,30 +64,14 @@ pub fn options_fingerprint(opts: &HarnessOptions) -> u64 {
             opts.synth_ratio.to_bits() as u64,
             opts.synthetic_cap as u64,
             opts.seed,
-            opts.sanitize as u64,
             opts.quantized as u64,
         ],
     )
 }
 
-/// Fingerprints an attack suite — kinds and strengths, in order — so
-/// robustness records cached for one `--attacks`/`--attack-strength`
-/// combination can never satisfy a lookup for another.
-pub fn attacks_fingerprint(attacks: &[AttackSpec]) -> u64 {
-    let mut coords = Vec::with_capacity(attacks.len() * 2 + 1);
-    coords.push(attacks.len() as u64);
-    for a in attacks {
-        coords.push(a.kind.index());
-        coords.push(a.strength.to_bits());
-    }
-    mix_coords(
-        0xA77A_C3ED_7E57_0002 ^ ROBUSTNESS_SCHEMA_VERSION as u64,
-        &coords,
-    )
-}
-
 /// One persisted cell. Flat named-field struct (the vendored serde
-/// derive's sweet spot); exactly one of `ok` / `panic` is set.
+/// derive's sweet spot); exactly one of `ok` / `panic` is set. `ok` holds
+/// the result's serde value tree, so every cell kind shares this record.
 ///
 /// `opts_hash` is hex text rather than a JSON number: the vendored JSON
 /// layer stores integers as `i64`, and a 64-bit fingerprint can exceed
@@ -100,24 +85,8 @@ struct CellRecord {
     arm: String,
     sample: i64,
     trial: i64,
-    ok: Option<ExperimentResult>,
+    ok: Option<Value>,
     panic: Option<String>,
-}
-
-/// One persisted robustness cell: the clean and per-attack F1s of a
-/// trained cell, keyed by the grid coordinates, the options fingerprint,
-/// *and* the attack-suite fingerprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct RobustnessRecord {
-    schema_version: i64,
-    opts_hash: String,
-    attacks_hash: String,
-    domain: String,
-    size: i64,
-    arm: String,
-    sample: i64,
-    trial: i64,
-    ok: Option<RobustnessResult>,
 }
 
 /// Grid coordinates of one cell, as the cache addresses them.
@@ -176,24 +145,16 @@ impl CellCache {
         self.opts_hash
     }
 
-    fn stem(&self, (domain, size, arm, sample, trial): CellCoords) -> String {
-        format!(
-            "cell-{:016x}-{}-{}-{}-{}-{}",
+    /// The record path of a cell in `family`: `<family>cell-<options>-
+    /// <coordinates>` plus `suffix` (`json`, or `failed.json`).
+    fn path(&self, family: &str, coords: CellCoords, suffix: &str) -> PathBuf {
+        let (domain, size, arm, sample, trial) = coords;
+        self.dir.join(format!(
+            "{family}cell-{:016x}-{}-{size}-{}-{sample}-{trial}.{suffix}",
             self.opts_hash,
             format!("{domain:?}").to_lowercase(),
-            size,
             format!("{arm:?}").to_lowercase(),
-            sample,
-            trial,
-        )
-    }
-
-    fn ok_path(&self, coords: CellCoords) -> PathBuf {
-        self.dir.join(format!("{}.json", self.stem(coords)))
-    }
-
-    fn failed_path(&self, coords: CellCoords) -> PathBuf {
-        self.dir.join(format!("{}.failed.json", self.stem(coords)))
+        ))
     }
 
     fn record(&self, coords: CellCoords) -> CellRecord {
@@ -211,90 +172,38 @@ impl CellCache {
         }
     }
 
-    /// The cached result for a cell, if a valid success record exists.
-    /// Anything else — no file, unparseable JSON, a schema or options
-    /// mismatch, a failure record — is a miss.
-    pub fn load(&self, coords: CellCoords) -> Option<ExperimentResult> {
-        let text = std::fs::read_to_string(self.ok_path(coords)).ok()?;
+    /// The cached result for a cell of `family`, if a valid success
+    /// record exists. Anything else — no file, unparseable JSON, a schema
+    /// or options mismatch, a failure record, a result of another
+    /// shape — is a miss.
+    pub fn load<T: Deserialize>(&self, family: &str, coords: CellCoords) -> Option<T> {
+        let text = std::fs::read_to_string(self.path(family, coords, "json")).ok()?;
         let rec: CellRecord = serde_json::from_str(&text).ok()?;
         if rec.schema_version != CELL_SCHEMA_VERSION
             || rec.opts_hash != format!("{:016x}", self.opts_hash)
         {
             return None;
         }
-        rec.ok
+        T::from_value(&rec.ok?).ok()
     }
 
-    /// Persists a completed cell.
-    pub fn store_ok(&self, coords: CellCoords, result: &ExperimentResult) {
+    /// Persists a cell of `family`: a result, or the payload of a cell
+    /// that panicked twice. Failure records are for post-mortem
+    /// diagnosis only; [`load`](Self::load) never reads them.
+    pub fn store(&self, family: &str, coords: CellCoords, outcome: Result<&dyn Serialize, &str>) {
         let mut rec = self.record(coords);
-        rec.ok = Some(result.clone());
-        self.write_atomic(self.ok_path(coords), &rec);
-    }
-
-    /// Persists a cell that panicked twice, for post-mortem diagnosis.
-    /// Failure records are never consulted by [`load`](Self::load).
-    pub fn store_failed(&self, coords: CellCoords, payload: &str) {
-        let mut rec = self.record(coords);
-        rec.panic = Some(payload.to_string());
-        self.write_atomic(self.failed_path(coords), &rec);
-    }
-
-    fn robustness_path(&self, coords: CellCoords, attacks_hash: u64) -> PathBuf {
-        self.dir.join(format!(
-            "rob-{attacks_hash:016x}-{}.json",
-            self.stem(coords)
-        ))
-    }
-
-    fn robustness_record(&self, coords: CellCoords, attacks_hash: u64) -> RobustnessRecord {
-        let (domain, size, arm, sample, trial) = coords;
-        RobustnessRecord {
-            schema_version: ROBUSTNESS_SCHEMA_VERSION,
-            opts_hash: format!("{:016x}", self.opts_hash),
-            attacks_hash: format!("{attacks_hash:016x}"),
-            domain: format!("{domain:?}").to_lowercase(),
-            size: size as i64,
-            arm: format!("{arm:?}").to_lowercase(),
-            sample: sample as i64,
-            trial: trial as i64,
-            ok: None,
-        }
-    }
-
-    /// The cached robustness result for a cell under a given attack
-    /// suite, if a valid record exists. Any mismatch — schema, options
-    /// fingerprint, attack-suite fingerprint — is a miss.
-    pub fn load_robustness(
-        &self,
-        coords: CellCoords,
-        attacks_hash: u64,
-    ) -> Option<RobustnessResult> {
-        let text = std::fs::read_to_string(self.robustness_path(coords, attacks_hash)).ok()?;
-        let rec: RobustnessRecord = serde_json::from_str(&text).ok()?;
-        if rec.schema_version != ROBUSTNESS_SCHEMA_VERSION
-            || rec.opts_hash != format!("{:016x}", self.opts_hash)
-            || rec.attacks_hash != format!("{attacks_hash:016x}")
-        {
-            return None;
-        }
-        rec.ok
-    }
-
-    /// Persists a completed robustness cell.
-    pub fn store_robustness(
-        &self,
-        coords: CellCoords,
-        attacks_hash: u64,
-        result: &RobustnessResult,
-    ) {
-        let mut rec = self.robustness_record(coords, attacks_hash);
-        rec.ok = Some(result.clone());
-        self.write_atomic(self.robustness_path(coords, attacks_hash), &rec);
-    }
-
-    fn write_atomic<T: Serialize>(&self, path: PathBuf, rec: &T) {
-        let json = match serde_json::to_string_pretty(rec) {
+        let suffix = match outcome {
+            Ok(result) => {
+                rec.ok = Some(result.to_value());
+                "json"
+            }
+            Err(payload) => {
+                rec.panic = Some(payload.to_string());
+                "failed.json"
+            }
+        };
+        let path = self.path(family, coords, suffix);
+        let json = match serde_json::to_string_pretty(&rec) {
             Ok(j) => j,
             Err(e) => {
                 fieldswap_obs::warn!("checkpoint serialize failed: {e}");
@@ -313,6 +222,8 @@ impl CellCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::robustness::{checkpoint_family, AttackSpec, RobustnessResult};
+    use crate::runner::ExperimentResult;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -334,6 +245,11 @@ mod tests {
             n_synthetics: 42,
             n_train_docs: 10,
         }
+    }
+
+    /// A plain grid cell's cached result.
+    fn load(cache: &CellCache, coords: CellCoords) -> Option<ExperimentResult> {
+        cache.load("", coords)
     }
 
     const COORDS: CellCoords = (Domain::Fara, 10, Arm::Baseline, 0, 1);
@@ -366,7 +282,7 @@ mod tests {
             |o: &mut HarnessOptions| o.synth_ratio += 0.5,
             |o: &mut HarnessOptions| o.synthetic_cap += 1,
             |o: &mut HarnessOptions| o.seed ^= 1,
-            |o: &mut HarnessOptions| o.sanitize = !o.sanitize,
+            |o: &mut HarnessOptions| o.quantized = !o.quantized,
         ];
         for (i, tweak) in variants.iter().enumerate() {
             let mut v = base;
@@ -383,12 +299,12 @@ mod tests {
     fn store_and_load_roundtrip() {
         let dir = temp_dir("roundtrip");
         let cache = CellCache::create(&dir, &HarnessOptions::quick()).unwrap();
-        assert_eq!(cache.load(COORDS), None, "empty cache must miss");
+        assert_eq!(load(&cache, COORDS), None, "empty cache must miss");
         let r = sample_result();
-        cache.store_ok(COORDS, &r);
-        assert_eq!(cache.load(COORDS), Some(r));
+        cache.store("", COORDS, Ok(&r));
+        assert_eq!(load(&cache, COORDS), Some(r));
         // A neighboring cell is still a miss.
-        assert_eq!(cache.load((Domain::Fara, 10, Arm::Baseline, 0, 0)), None);
+        assert_eq!(load(&cache, (Domain::Fara, 10, Arm::Baseline, 0, 0)), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -405,8 +321,8 @@ mod tests {
             n_synthetics: 0,
             n_train_docs: 1,
         };
-        cache.store_ok(COORDS, &r);
-        let back = cache.load(COORDS).unwrap();
+        cache.store("", COORDS, Ok(&r));
+        let back = load(&cache, COORDS).unwrap();
         assert_eq!(back.macro_f1.to_bits(), r.macro_f1.to_bits());
         assert_eq!(back.micro_f1.to_bits(), r.micro_f1.to_bits());
         assert_eq!(
@@ -420,12 +336,12 @@ mod tests {
     fn different_options_do_not_share_cells() {
         let dir = temp_dir("opts");
         let quick = CellCache::create(&dir, &HarnessOptions::quick()).unwrap();
-        quick.store_ok(COORDS, &sample_result());
+        quick.store("", COORDS, Ok(&sample_result()));
         let mut other_opts = HarnessOptions::quick();
         other_opts.seed ^= 0xDEAD;
         let other = CellCache::create(&dir, &other_opts).unwrap();
         assert_eq!(
-            other.load(COORDS),
+            load(&other, COORDS),
             None,
             "a different protocol must never see this cache's cells"
         );
@@ -436,16 +352,16 @@ mod tests {
     fn corrupt_record_is_a_miss() {
         let dir = temp_dir("corrupt");
         let cache = CellCache::create(&dir, &HarnessOptions::quick()).unwrap();
-        cache.store_ok(COORDS, &sample_result());
-        let path = cache.ok_path(COORDS);
+        cache.store("", COORDS, Ok(&sample_result()));
+        let path = cache.path("", COORDS, "json");
         std::fs::write(&path, "{ not json").unwrap();
-        assert_eq!(cache.load(COORDS), None);
+        assert_eq!(load(&cache, COORDS), None);
         // Tampered options hash inside an otherwise valid record: miss.
         let mut rec = cache.record(COORDS);
         rec.opts_hash = "0000000000000000".into();
-        rec.ok = Some(sample_result());
+        rec.ok = Some(sample_result().to_value());
         std::fs::write(&path, serde_json::to_string(&rec).unwrap()).unwrap();
-        assert_eq!(cache.load(COORDS), None);
+        assert_eq!(load(&cache, COORDS), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -453,17 +369,17 @@ mod tests {
     fn failure_records_are_diagnostic_only() {
         let dir = temp_dir("failed");
         let cache = CellCache::create(&dir, &HarnessOptions::quick()).unwrap();
-        cache.store_failed(COORDS, "cell exploded");
+        cache.store("", COORDS, Err("cell exploded"));
         assert_eq!(
-            cache.load(COORDS),
+            load(&cache, COORDS),
             None,
             "a recorded panic must not satisfy a resume lookup"
         );
-        let text = std::fs::read_to_string(cache.failed_path(COORDS)).unwrap();
+        let text = std::fs::read_to_string(cache.path("", COORDS, "failed.json")).unwrap();
         assert!(text.contains("cell exploded"));
         // A later successful attempt coexists with the failure record.
-        cache.store_ok(COORDS, &sample_result());
-        assert_eq!(cache.load(COORDS), Some(sample_result()));
+        cache.store("", COORDS, Ok(&sample_result()));
+        assert_eq!(load(&cache, COORDS), Some(sample_result()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -476,8 +392,10 @@ mod tests {
             kind: AttackKind::TokenDrop,
             strength: 0.5,
         }];
-        let hash = attacks_fingerprint(&suite);
-        assert_eq!(cache.load_robustness(COORDS, hash), None);
+        let family = checkpoint_family(&suite);
+        assert!(family.starts_with("rob-"), "{family}");
+        let rob = |family: &str| cache.load::<RobustnessResult>(family, COORDS);
+        assert_eq!(rob(&family), None);
         let r = RobustnessResult {
             clean_macro_f1: 61.0,
             clean_micro_f1: 70.5,
@@ -485,24 +403,33 @@ mod tests {
             attacked_micro_f1: vec![60.25],
             n_synthetics: 9,
         };
-        cache.store_robustness(COORDS, hash, &r);
-        assert_eq!(cache.load_robustness(COORDS, hash), Some(r.clone()));
+        cache.store(&family, COORDS, Ok(&r));
+        assert_eq!(rob(&family), Some(r.clone()));
+        assert!(cache.path(&family, COORDS, "json").is_file());
         // A different strength is a different suite: miss, not a hit.
-        let other = attacks_fingerprint(&[AttackSpec {
+        let other = checkpoint_family(&[AttackSpec {
             kind: AttackKind::TokenDrop,
             strength: 0.75,
         }]);
-        assert_ne!(hash, other);
-        assert_eq!(cache.load_robustness(COORDS, other), None);
+        assert_ne!(family, other);
+        assert_eq!(rob(&other), None);
         // A different kind too, and the empty suite differs from both.
-        let kind_differs = attacks_fingerprint(&[AttackSpec {
+        let kind_differs = checkpoint_family(&[AttackSpec {
             kind: AttackKind::BoxJitter,
             strength: 0.5,
         }]);
-        assert_ne!(hash, kind_differs);
-        assert_ne!(hash, attacks_fingerprint(&[]));
-        // Robustness records never satisfy plain cell lookups.
-        assert_eq!(cache.load(COORDS), None);
+        assert_ne!(family, kind_differs);
+        assert_ne!(family, checkpoint_family(&[]));
+        // Robustness records never satisfy plain cell lookups, and plain
+        // records never satisfy robustness lookups.
+        assert_eq!(load(&cache, COORDS), None);
+        let plain = (Domain::Fara, 10, Arm::Baseline, 0, 0);
+        cache.store("", plain, Ok(&sample_result()));
+        assert_eq!(cache.load::<RobustnessResult>(&family, plain), None);
+        // Failure records land under the suite's stem too.
+        cache.store(&family, plain, Err("cell exploded"));
+        assert!(cache.path(&family, plain, "failed.json").is_file());
+        assert_eq!(cache.load::<RobustnessResult>(&family, plain), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -33,8 +33,9 @@
 //!   output to an uninterrupted one.
 //! * **Robustness** ([`robustness`]) — the form-attack evaluation mode:
 //!   train clean, evaluate on attacked test sets, report per-attack F1
-//!   degradation. Inherits the grid's parallelism, determinism, and
-//!   checkpointing guarantees.
+//!   degradation. Its cells run through the grid's own fan-out, cell
+//!   cache and scoring step, so it inherits the grid's parallelism,
+//!   determinism, and checkpointing guarantees.
 
 pub mod boxplot;
 pub mod checkpoint;
@@ -44,11 +45,13 @@ pub mod robustness;
 pub mod runner;
 
 pub use boxplot::BoxStats;
-pub use checkpoint::{attacks_fingerprint, options_fingerprint, CellCache, CellCoords};
+pub use checkpoint::{options_fingerprint, CellCache, CellCoords};
 pub use expert::expert_config;
 pub use fieldswap_parallel::{
     effective_jobs, par_map_indexed, par_try_map_indexed, OnceMap, SlotPanic,
 };
 pub use metrics::{evaluate, evaluate_frozen, EvalResult, FieldScore, QUANT_MACRO_F1_EPSILON};
-pub use robustness::{AttackSpec, AttackSummary, RobustnessPoint, RobustnessResult};
+pub use robustness::{
+    attacks_fingerprint, AttackSpec, AttackSummary, RobustnessPoint, RobustnessResult,
+};
 pub use runner::{cell_seed, Arm, ExperimentResult, Harness, HarnessOptions, PointSummary};

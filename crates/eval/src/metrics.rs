@@ -161,19 +161,6 @@ pub fn evaluate_frozen(frozen: &FrozenModel, test: &Corpus) -> EvalResult {
     EvalResult { fields }
 }
 
-/// Evaluates a fixed prediction function (used by tests and ablations).
-pub fn evaluate_with<F>(test: &Corpus, mut predict: F) -> EvalResult
-where
-    F: FnMut(&fieldswap_docmodel::Document) -> Vec<EntitySpan>,
-{
-    let mut fields = vec![FieldScore::default(); test.schema.len()];
-    for doc in &test.documents {
-        let pred = predict(doc);
-        score_document(&doc.annotations, &pred, &mut fields);
-    }
-    EvalResult { fields }
-}
-
 /// Mean of a sample, `None` for empty input.
 pub fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {

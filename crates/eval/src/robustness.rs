@@ -10,26 +10,26 @@
 //! claim of reduced key-phrase memorization predicts smaller
 //! degradations for the augmented arms.
 //!
-//! Everything the main grid guarantees carries over:
+//! A robustness grid is the main grid with attacked test sets added to
+//! the scoring step: its cells run through the same fan-out, cached-cell
+//! step and checkpoint record as [`Harness::run_grid`], and score the one
+//! model [`Harness::run_single`] would score. Everything the main grid
+//! guarantees carries over:
 //!
-//! * **Bit-identity across worker counts** — a robustness cell trains
-//!   through the exact same seeded path as [`Harness::run_single`]
-//!   (shared `train_cell`), and attacked test corpora derive their
-//!   randomness per document from the master seed, never from
-//!   scheduling.
+//! * **Bit-identity across worker counts** — attacked test corpora
+//!   derive their randomness per document from the master seed, never
+//!   from scheduling.
 //! * **Crash resilience** — completed cells persist through the attached
-//!   [`crate::checkpoint::CellCache`] as robustness records keyed by the
-//!   options fingerprint *and* an attack-suite fingerprint; a resumed
-//!   grid is byte-identical to an uninterrupted one.
+//!   [`crate::checkpoint::CellCache`] under the `rob-<suite hash>-`
+//!   family, so a resumed grid is byte-identical to an uninterrupted one
+//!   and one suite's records never answer another's lookups.
 //! * **Graceful failure** — a cell that panics twice is dropped and
 //!   counted in `failed_cells`, never fatal to the grid.
 
-use crate::checkpoint::{attacks_fingerprint, CellCoords};
-use crate::metrics::evaluate;
-use crate::runner::{Arm, Harness};
+use crate::checkpoint::CellCoords;
+use crate::runner::{mean_over, mix_coords, Arm, Harness};
 use fieldswap_core::AttackKind;
 use fieldswap_datagen::Domain;
-use fieldswap_parallel::par_try_map_indexed;
 use serde::{Deserialize, Serialize};
 
 /// One attack in a robustness suite: a kind from the taxonomy and the
@@ -79,6 +79,24 @@ impl AttackSpec {
             })
             .collect()
     }
+}
+
+/// Fingerprints an attack suite — kinds and strengths, in order — so
+/// robustness records cached for one `--attacks`/`--attack-strength`
+/// combination can never satisfy a lookup for another.
+pub fn attacks_fingerprint(attacks: &[AttackSpec]) -> u64 {
+    let mut coords = Vec::with_capacity(attacks.len() * 2 + 1);
+    coords.push(attacks.len() as u64);
+    for a in attacks {
+        coords.push(a.kind.index());
+        coords.push(a.strength.to_bits());
+    }
+    mix_coords(0xA77A_C3ED_7E57_0003, &coords)
+}
+
+/// The checkpoint family of a suite's cells: `rob-<suite hash>-`.
+pub(crate) fn checkpoint_family(attacks: &[AttackSpec]) -> String {
+    format!("rob-{:016x}-", attacks_fingerprint(attacks))
 }
 
 /// The outcome of one robustness cell: the clean F1s plus the F1s under
@@ -138,23 +156,17 @@ pub struct RobustnessPoint {
 }
 
 impl Harness {
-    /// Runs one robustness cell: trains exactly as
-    /// [`Harness::run_single`] would (shared seeded path), then evaluates
-    /// on the clean test set and on each attacked variant. Checkpointed
-    /// under the attack-suite fingerprint when a cache is attached.
+    /// Runs one robustness cell: trains and freezes exactly as
+    /// [`Harness::run_single`] does (int8 when `quantized` is set), then
+    /// scores the clean test set and each attacked variant with that one
+    /// model. Computes live; [`run_robustness_grid`](Self::run_robustness_grid)
+    /// adds the checkpoint cache.
     pub fn run_robustness_cell(
         &self,
         coords: CellCoords,
         attacks: &[AttackSpec],
     ) -> RobustnessResult {
         let (domain, size, arm, sample_idx, trial_idx) = coords;
-        let attacks_hash = attacks_fingerprint(attacks);
-        if let Some(cache) = self.checkpoint() {
-            if let Some(hit) = cache.load_robustness(coords, attacks_hash) {
-                fieldswap_obs::counter_add("fieldswap_robustness_cells_cached", 1);
-                return hit;
-            }
-        }
         let _cell_span = fieldswap_obs::span_tagged("robustness_cell", || {
             vec![
                 ("domain", domain.name().to_string()),
@@ -165,158 +177,62 @@ impl Harness {
                 ("attacks", attacks.len().to_string()),
             ]
         });
-        let (extractor, n_synthetics) = self.train_cell(domain, size, arm, sample_idx, trial_idx);
-        let data = self.domain_data(domain);
-        let clean = {
-            let _span = fieldswap_obs::span("eval");
-            evaluate(&extractor, &data.1)
-        };
-        let mut attacked_macro_f1 = Vec::with_capacity(attacks.len());
-        let mut attacked_micro_f1 = Vec::with_capacity(attacks.len());
-        for spec in attacks {
-            let test = self.attacked_test(domain, *spec);
-            let started = fieldswap_obs::metrics_enabled().then(std::time::Instant::now);
-            let eval = {
-                let _span = fieldswap_obs::span_tagged("eval_attacked", || {
-                    vec![
-                        ("attack", spec.kind.name().to_string()),
-                        ("strength", format!("{}", spec.strength)),
-                    ]
-                });
-                evaluate(&extractor, &test)
-            };
-            if let Some(t) = started {
-                fieldswap_obs::observe(
-                    &format!("fieldswap_attack_eval_ms{{kind=\"{}\"}}", spec.kind.name()),
-                    t.elapsed().as_secs_f64() * 1e3,
-                );
-            }
-            attacked_macro_f1.push(eval.macro_f1());
-            attacked_micro_f1.push(eval.micro_f1());
-        }
-        let result = RobustnessResult {
+        let (clean, attacked, n_synthetics) = self.score_cell(coords, attacks);
+        RobustnessResult {
             clean_macro_f1: clean.macro_f1(),
             clean_micro_f1: clean.micro_f1(),
-            attacked_macro_f1,
-            attacked_micro_f1,
+            attacked_macro_f1: attacked.iter().map(|e| e.macro_f1()).collect(),
+            attacked_micro_f1: attacked.iter().map(|e| e.micro_f1()).collect(),
             n_synthetics,
-        };
-        if let Some(cache) = self.checkpoint() {
-            cache.store_robustness(coords, attacks_hash, &result);
         }
-        result
     }
 
-    /// Runs the full robustness protocol for one `(domain, size, arm)`
-    /// point: `n_samples x n_trials` cells, averaged, with per-attack
-    /// degradations. See [`Harness::run_robustness_grid`].
-    pub fn run_robustness_point(
-        &self,
-        domain: Domain,
-        size: usize,
-        arm: Arm,
-        attacks: &[AttackSpec],
-    ) -> RobustnessPoint {
-        self.run_robustness_grid(&[(domain, size, arm)], attacks)
-            .pop()
-            .expect("one point in, one summary out")
-    }
-
-    /// Runs every `(domain, size, arm)` point of a robustness grid,
-    /// fanning all cells into one worker pool. Summaries come back in
-    /// the order of `points`, bit-identical for every `jobs` setting and
-    /// across checkpoint resumes; cells that panic twice are dropped and
-    /// counted in their point's `failed_cells`.
+    /// Runs every `(domain, size, arm)` point of a robustness grid
+    /// through the grid fan-out of [`Harness::run_grid`]: `n_samples x
+    /// n_trials` cells per point, averaged, with per-attack degradations.
+    /// Summaries come back in the order of `points`, bit-identical for
+    /// every `jobs` setting and across checkpoint resumes; cells that
+    /// panic twice are dropped and counted in their point's
+    /// `failed_cells`.
     pub fn run_robustness_grid(
         &self,
         points: &[(Domain, usize, Arm)],
         attacks: &[AttackSpec],
     ) -> Vec<RobustnessPoint> {
-        let opts = *self.options();
-        let n_trials = opts.n_trials;
-        let per_point = opts.n_samples * n_trials;
-        let coords = |i: usize| {
-            let (domain, size, arm) = points[i / per_point];
-            let cell = i % per_point;
-            (domain, size, arm, cell / n_trials, cell % n_trials)
-        };
-        let outcomes = par_try_map_indexed(points.len() * per_point, opts.jobs, |i| {
-            self.run_robustness_cell(coords(i), attacks)
+        let cells = self.fan_out(points, &checkpoint_family(attacks), |coords| {
+            self.run_robustness_cell(coords, attacks)
         });
-        let mut outcomes = outcomes.into_iter().enumerate();
-        let mut out = Vec::with_capacity(points.len());
-        for &(domain, size, arm) in points {
-            let mut runs = Vec::with_capacity(per_point);
-            let mut failed = 0;
-            for (i, outcome) in outcomes.by_ref().take(per_point) {
-                match outcome {
-                    Ok(r) => runs.push(r),
-                    Err(p) => {
-                        failed += 1;
-                        self.note_failure(coords(i), &p);
-                    }
+        points
+            .iter()
+            .zip(cells)
+            .map(|(&(domain, size, arm), (runs, failed_cells))| {
+                let clean_macro_f1 = mean_over(&runs, |r| r.clean_macro_f1);
+                let attacks = attacks
+                    .iter()
+                    .enumerate()
+                    .map(|(j, spec)| {
+                        let macro_f1 = mean_over(&runs, |r| r.attacked_macro_f1[j]);
+                        AttackSummary {
+                            attack: spec.kind.name().to_string(),
+                            strength: spec.strength,
+                            macro_f1,
+                            micro_f1: mean_over(&runs, |r| r.attacked_micro_f1[j]),
+                            degradation: clean_macro_f1 - macro_f1,
+                        }
+                    })
+                    .collect();
+                RobustnessPoint {
+                    domain: domain.name().to_string(),
+                    size,
+                    arm: arm.label().to_string(),
+                    clean_macro_f1,
+                    clean_micro_f1: mean_over(&runs, |r| r.clean_micro_f1),
+                    attacks,
+                    failed_cells,
+                    runs,
                 }
-            }
-            out.push(summarize_robustness(
-                domain, size, arm, attacks, runs, failed,
-            ));
-        }
-        out
-    }
-}
-
-/// Aggregates one point's cell results into means and degradations.
-fn summarize_robustness(
-    domain: Domain,
-    size: usize,
-    arm: Arm,
-    attacks: &[AttackSpec],
-    runs: Vec<RobustnessResult>,
-    failed_cells: usize,
-) -> RobustnessPoint {
-    if failed_cells > 0 {
-        fieldswap_obs::warn!(
-            "robustness ({}, {}, {}): {} cell(s) failed; means cover {} success(es) only",
-            domain.name(),
-            size,
-            arm.label(),
-            failed_cells,
-            runs.len()
-        );
-    }
-    let mean = |sum: f64| {
-        if runs.is_empty() {
-            0.0
-        } else {
-            sum / runs.len() as f64
-        }
-    };
-    let clean_macro_f1 = mean(runs.iter().map(|r| r.clean_macro_f1).sum::<f64>());
-    let clean_micro_f1 = mean(runs.iter().map(|r| r.clean_micro_f1).sum::<f64>());
-    let attacks = attacks
-        .iter()
-        .enumerate()
-        .map(|(j, spec)| {
-            let macro_f1 = mean(runs.iter().map(|r| r.attacked_macro_f1[j]).sum::<f64>());
-            let micro_f1 = mean(runs.iter().map(|r| r.attacked_micro_f1[j]).sum::<f64>());
-            AttackSummary {
-                attack: spec.kind.name().to_string(),
-                strength: spec.strength,
-                macro_f1,
-                micro_f1,
-                degradation: clean_macro_f1 - macro_f1,
-            }
-        })
-        .collect();
-    RobustnessPoint {
-        domain: domain.name().to_string(),
-        size,
-        arm: arm.label().to_string(),
-        clean_macro_f1,
-        clean_micro_f1,
-        attacks,
-        failed_cells,
-        runs,
+            })
+            .collect()
     }
 }
 
@@ -342,7 +258,6 @@ mod tests {
             seed: 0x7E57,
             jobs: 1,
             train_jobs: 1,
-            sanitize: true,
             quantized: false,
         }
     }
@@ -358,6 +273,13 @@ mod tests {
                 strength: 0.5,
             },
         ]
+    }
+
+    /// The one-point robustness grid at (FARA, 10, baseline).
+    fn fara_baseline(h: &Harness, attacks: &[AttackSpec]) -> RobustnessPoint {
+        h.run_robustness_grid(&[(Domain::Fara, 10, Arm::Baseline)], attacks)
+            .pop()
+            .expect("one point in, one summary out")
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -387,21 +309,31 @@ mod tests {
 
     #[test]
     fn robustness_cell_reports_clean_and_attacked_f1() {
-        let h = Harness::new(tiny_options());
         let suite = tiny_suite();
-        let r = h.run_robustness_cell((Domain::Fara, 10, Arm::Baseline, 0, 0), &suite);
-        assert_eq!(r.attacked_macro_f1.len(), 2);
-        assert_eq!(r.attacked_micro_f1.len(), 2);
-        assert!(r.clean_macro_f1.is_finite());
-        for f1 in r.attacked_macro_f1.iter().chain(&r.attacked_micro_f1) {
-            assert!(f1.is_finite() && *f1 >= 0.0 && *f1 <= 100.0);
+        // A cell where int8 scoring moves the F1.
+        let coords = (Domain::LoanPayments, 10, Arm::Baseline, 0, 0);
+        let (domain, size, arm, sample, trial) = coords;
+        let mut plain_macro_f1 = Vec::new();
+        for quantized in [false, true] {
+            let mut opts = tiny_options();
+            opts.quantized = quantized;
+            let h = Harness::new(opts);
+            let r = h.run_robustness_cell(coords, &suite);
+            assert_eq!(r.attacked_macro_f1.len(), 2);
+            assert_eq!(r.attacked_micro_f1.len(), 2);
+            for f1 in r.attacked_macro_f1.iter().chain(&r.attacked_micro_f1) {
+                assert!(f1.is_finite() && *f1 >= 0.0 && *f1 <= 100.0);
+            }
+            // The clean evaluation matches the plain experiment path
+            // exactly: same training, same frozen (int8 when quantized)
+            // model, same test set, same numbers.
+            let plain = h.run_single(domain, size, arm, sample, trial);
+            assert_eq!(r.clean_macro_f1, plain.macro_f1, "quantized {quantized}");
+            assert_eq!(r.clean_micro_f1, plain.micro_f1, "quantized {quantized}");
+            assert_eq!(r.n_synthetics, plain.n_synthetics);
+            plain_macro_f1.push(plain.macro_f1);
         }
-        // The clean evaluation matches the plain experiment path exactly:
-        // same training, same test set, same numbers.
-        let plain = h.run_single(Domain::Fara, 10, Arm::Baseline, 0, 0);
-        assert_eq!(r.clean_macro_f1, plain.macro_f1);
-        assert_eq!(r.clean_micro_f1, plain.micro_f1);
-        assert_eq!(r.n_synthetics, plain.n_synthetics);
+        assert_ne!(plain_macro_f1[0], plain_macro_f1[1], "int8 left F1 unmoved");
     }
 
     #[test]
@@ -444,10 +376,47 @@ mod tests {
     }
 
     #[test]
+    fn robustness_cells_share_the_failure_hook_and_record_failures_under_the_suite() {
+        let suite = tiny_suite();
+        let mut opts = tiny_options();
+        opts.n_trials = 2;
+        let clean = fara_baseline(&Harness::new(opts), &suite);
+        assert_eq!(clean.failed_cells, 0);
+
+        // A persistent panic is counted, and its failure record lands
+        // under the suite's `rob-` stem, not among plain grid cells.
+        let dir = temp_dir("failed");
+        let mut h = Harness::new(opts);
+        h.attach_checkpoint(CellCache::create(&dir, &opts).unwrap());
+        h.fail_cell_for_tests((Domain::Fara, 10, Arm::Baseline, 0, 1), usize::MAX);
+        let p = fara_baseline(&h, &suite);
+        assert_eq!(p.failed_cells, 1);
+        assert_eq!(p.runs, clean.runs[..1]);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        let family = checkpoint_family(&suite);
+        let failed: Vec<&String> = names
+            .iter()
+            .filter(|n| n.ends_with(".failed.json"))
+            .collect();
+        assert_eq!(failed.len(), 1, "{names:?}");
+        assert!(failed[0].starts_with(&family), "{names:?}");
+        assert!(failed[0].ends_with("-0-1.failed.json"), "{names:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // One transient panic is retried to the clean summary.
+        let h = Harness::new(opts);
+        h.fail_cell_for_tests((Domain::Fara, 10, Arm::Baseline, 0, 0), 1);
+        assert_eq!(fara_baseline(&h, &suite), clean);
+    }
+
+    #[test]
     fn degradation_is_clean_minus_attacked() {
         let h = Harness::new(tiny_options());
         let suite = tiny_suite();
-        let p = h.run_robustness_point(Domain::Fara, 10, Arm::Baseline, &suite);
+        let p = fara_baseline(&h, &suite);
         assert_eq!(p.attacks.len(), suite.len());
         for (j, a) in p.attacks.iter().enumerate() {
             assert_eq!(a.attack, suite[j].kind.name());
@@ -461,7 +430,7 @@ mod tests {
         let mut opts = tiny_options();
         opts.n_trials = 2;
         let h = Harness::new(opts);
-        let p = h.run_robustness_point(Domain::Fara, 10, Arm::Baseline, &[]);
+        let p = fara_baseline(&h, &[]);
         assert_eq!(p.failed_cells, 0);
         assert_eq!(p.runs.len(), 2);
         assert!(p.attacks.is_empty());

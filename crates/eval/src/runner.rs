@@ -21,7 +21,7 @@
 
 use crate::checkpoint::{CellCache, CellCoords};
 use crate::expert::expert_config;
-use crate::metrics::EvalResult;
+use crate::metrics::{evaluate_frozen, EvalResult};
 use crate::robustness::AttackSpec;
 use fieldswap_core::{
     attack_corpus, AttackKind, EngineOptions, FieldSwapConfig, PairStrategy, SwapPlan,
@@ -30,7 +30,7 @@ use fieldswap_datagen::{generate_jobs, Domain};
 use fieldswap_docmodel::Corpus;
 use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
 use fieldswap_keyphrase::{infer_key_phrases, ImportanceModel, InferenceConfig, ModelConfig};
-use fieldswap_parallel::{par_map_indexed, par_try_map_indexed, OnceMap, SlotPanic};
+use fieldswap_parallel::{par_map_indexed, par_try_map_indexed, OnceMap};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -106,10 +106,11 @@ pub struct HarnessOptions {
     pub synthetic_cap: usize,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads for `run_point`/`run_grid` (0 = all cores,
-    /// 1 = serial). Results are bit-identical for every setting: each
-    /// experiment's randomness is derived purely from its grid
-    /// coordinates, never from scheduling order.
+    /// Worker threads for the grid fan-out (`run_grid`,
+    /// `run_robustness_grid`; 0 = all cores, 1 = serial). Results are
+    /// bit-identical for every setting: each experiment's randomness is
+    /// derived purely from its grid coordinates, never from scheduling
+    /// order.
     pub jobs: usize,
     /// Worker threads *inside* each training run (0 = all cores,
     /// 1 = serial): the decode windows of the backbone trainer, the
@@ -118,12 +119,6 @@ pub struct HarnessOptions {
     /// any value produces bit-identical results — see
     /// [`fieldswap_extract::TRAIN_BATCH`] for the contract.
     pub train_jobs: usize,
-    /// Validate and repair corpora at ingestion
-    /// (`Document::sanitize`). A strict no-op on well-formed documents —
-    /// the clean path stays byte-identical with the layer enabled — while
-    /// degenerate inputs (non-finite boxes, empty tokens, overlapping
-    /// spans) are repaired and counted instead of poisoning training.
-    pub sanitize: bool,
     /// Evaluate through the int8-quantized emission table instead of the
     /// exact f32 one. Scores are approximate (guarded by the quantization
     /// accuracy gate); training is unaffected.
@@ -146,7 +141,6 @@ impl HarnessOptions {
             seed: 0x5EED,
             jobs: 0,
             train_jobs: 1,
-            sanitize: true,
             quantized: false,
         }
     }
@@ -166,7 +160,6 @@ impl HarnessOptions {
             seed: 0x5EED,
             jobs: 0,
             train_jobs: 1,
-            sanitize: true,
             quantized: false,
         }
     }
@@ -255,6 +248,16 @@ const STREAM_SAMPLE: u64 = 0x5A;
 const STREAM_TRAIN: u64 = 0x7A;
 const STREAM_CAP: u64 = 0xCA;
 const STREAM_VALUE_SWAP: u64 = 0xE5;
+
+/// The mean of `f` over a point's successful runs, or 0.0 when every cell
+/// failed: 0/0 would be NaN, unrepresentable in the JSON reports.
+pub(crate) fn mean_over<R>(runs: &[R], f: impl Fn(&R) -> f64) -> f64 {
+    if runs.is_empty() {
+        0.0
+    } else {
+        runs.iter().map(f).sum::<f64>() / runs.len() as f64
+    }
+}
 
 /// Immutable state shared by every experiment: built once in
 /// [`Harness::new`], read concurrently by all workers.
@@ -360,11 +363,6 @@ impl Harness {
         self.checkpoint = Some(cache);
     }
 
-    /// The attached cell cache, if any.
-    pub fn checkpoint(&self) -> Option<&CellCache> {
-        self.checkpoint.as_ref()
-    }
-
     /// Test hook: make a cell panic on its next `times` attempts. The
     /// injection sits between the cache lookup and the real computation,
     /// so `times = 1` exercises the worker retry and a larger count the
@@ -395,21 +393,27 @@ impl Harness {
     /// through the same ingestion sanitization as generated ones.
     #[doc(hidden)]
     pub fn inject_domain_data_for_tests(&self, domain: Domain, pool: Corpus, test: Corpus) {
-        let opts = self.opts;
         self.data
-            .get_or_init(domain, || Arc::new(Self::ingest(&opts, pool, test)));
+            .get_or_init(domain, || Arc::new(Self::ingest(pool, test)));
     }
 
-    /// One cell through the cache: hit → cached result, miss → compute
-    /// and persist. Panics (injected or organic) propagate to the worker
-    /// pool's `catch_unwind`.
-    fn run_cell(&self, coords: CellCoords) -> ExperimentResult {
-        let (domain, size, arm, sample_idx, trial_idx) = coords;
-        if let Some(cache) = &self.checkpoint {
-            if let Some(hit) = cache.load(coords) {
-                fieldswap_obs::counter_add("fieldswap_grid_cells_cached", 1);
-                return hit;
-            }
+    /// The one cached-cell step every grid cell runs through: a cache
+    /// hit under `family` returns the stored result; a miss passes the
+    /// `fail_cell_for_tests` hook, computes, and stores. Panics (injected
+    /// or organic) propagate to the worker pool's `catch_unwind`.
+    fn cached_cell<R: Serialize + Deserialize>(
+        &self,
+        family: &str,
+        coords: CellCoords,
+        compute: impl FnOnce() -> R,
+    ) -> R {
+        if let Some(hit) = self
+            .checkpoint
+            .as_ref()
+            .and_then(|c| c.load(family, coords))
+        {
+            fieldswap_obs::counter_add("fieldswap_grid_cells_cached", 1);
+            return hit;
         }
         let inject = {
             // Decrement inside the lock, panic outside it: unwinding
@@ -427,21 +431,79 @@ impl Harness {
         if inject {
             panic!("injected failure for cell {coords:?}");
         }
-        let result = self.run_single(domain, size, arm, sample_idx, trial_idx);
+        let result = compute();
         if let Some(cache) = &self.checkpoint {
-            cache.store_ok(coords, &result);
+            cache.store(family, coords, Ok(&result));
         }
         result
     }
 
-    /// Records a double-panicked cell: an error log line, a diagnostic
-    /// checkpoint record, and (via the caller) a slot in the summary's
-    /// `failed_cells` count.
-    pub(crate) fn note_failure(&self, coords: CellCoords, p: &SlotPanic) {
-        fieldswap_obs::error!("grid cell {coords:?} failed after retry: {}", p.payload);
-        if let Some(cache) = &self.checkpoint {
-            cache.store_failed(coords, &p.payload);
+    /// The one fan-out behind every grid: maps the `n_samples x n_trials`
+    /// cells of every point to their coordinates, runs them all through
+    /// [`cached_cell`](Self::cached_cell) on one worker pool (so small
+    /// points can't leave cores idle while a big point finishes), and
+    /// groups the outcomes per point, in the order of `points`. Each
+    /// point's runs come with its count of cells that panicked twice:
+    /// such a cell is logged, recorded under `family`, and dropped,
+    /// never fatal to the grid.
+    pub(crate) fn fan_out<R: Serialize + Deserialize + Send>(
+        &self,
+        points: &[(Domain, usize, Arm)],
+        family: &str,
+        cell: impl Fn(CellCoords) -> R + Sync,
+    ) -> Vec<(Vec<R>, usize)> {
+        let n_trials = self.opts.n_trials;
+        let per_point = self.opts.n_samples * n_trials;
+        // Root span on the caller's thread: cell spans close on worker
+        // threads, so this is what gives a trace its wall-clock root
+        // (and `trace_report` its critical-path anchor).
+        let _grid_span = fieldswap_obs::span_tagged("grid", || {
+            vec![
+                ("points", points.len().to_string()),
+                ("cells", (points.len() * per_point).to_string()),
+                ("jobs", self.opts.jobs.to_string()),
+            ]
+        });
+        let coords = |i: usize| {
+            let (domain, size, arm) = points[i / per_point];
+            let cell = i % per_point;
+            (domain, size, arm, cell / n_trials, cell % n_trials)
+        };
+        let outcomes = par_try_map_indexed(points.len() * per_point, self.opts.jobs, |i| {
+            self.cached_cell(family, coords(i), || cell(coords(i)))
+        });
+        let mut outcomes = outcomes.into_iter().enumerate();
+        let mut out = Vec::with_capacity(points.len());
+        for &(domain, size, arm) in points {
+            let mut runs = Vec::with_capacity(per_point);
+            let mut failed = 0;
+            for (i, outcome) in outcomes.by_ref().take(per_point) {
+                match outcome {
+                    Ok(r) => runs.push(r),
+                    Err(p) => {
+                        failed += 1;
+                        fieldswap_obs::error!(
+                            "grid cell {:?} failed after retry: {}",
+                            coords(i),
+                            p.payload
+                        );
+                        if let Some(cache) = &self.checkpoint {
+                            cache.store(family, coords(i), Err(&p.payload));
+                        }
+                    }
+                }
+            }
+            if failed > 0 {
+                fieldswap_obs::warn!(
+                    "({}, {size}, {}): {failed} cell(s) failed; means cover {} success(es) only",
+                    domain.name(),
+                    arm.label(),
+                    runs.len()
+                );
+            }
+            out.push((runs, failed));
         }
+        out
     }
 
     /// The (pool, test) corpora for a domain, generated on first use at
@@ -455,27 +517,24 @@ impl Harness {
             if opts.test_cap > 0 && test.len() > opts.test_cap {
                 test.documents.truncate(opts.test_cap);
             }
-            Arc::new(Self::ingest(&opts, pool, test))
+            Arc::new(Self::ingest(pool, test))
         })
     }
 
     /// Corpus ingestion: the validation/repair gate every (pool, test)
-    /// pair passes through, generated or injected. With `opts.sanitize`
-    /// (the default) documents failing [`fieldswap_docmodel::Document::validate`]
-    /// are repaired in place and counted; well-formed documents are
-    /// untouched, byte for byte.
-    fn ingest(opts: &HarnessOptions, mut pool: Corpus, mut test: Corpus) -> (Corpus, Corpus) {
-        if opts.sanitize {
-            let (pool_report, pool_docs) = pool.sanitize();
-            let (test_report, test_docs) = test.sanitize();
-            let docs = pool_docs + test_docs;
-            if docs > 0 {
-                fieldswap_obs::warn!(
-                    "ingestion sanitized {docs} document(s) ({} repairs)",
-                    pool_report.total() + test_report.total()
-                );
-                fieldswap_obs::counter_add("fieldswap_ingest_sanitized_docs_total", docs as u64);
-            }
+    /// pair passes through, generated or injected. Documents failing
+    /// [`fieldswap_docmodel::Document::validate`] are repaired in place
+    /// and counted; well-formed documents are untouched, byte for byte.
+    fn ingest(mut pool: Corpus, mut test: Corpus) -> (Corpus, Corpus) {
+        let (pool_report, pool_docs) = pool.sanitize();
+        let (test_report, test_docs) = test.sanitize();
+        let docs = pool_docs + test_docs;
+        if docs > 0 {
+            fieldswap_obs::warn!(
+                "ingestion sanitized {docs} document(s) ({} repairs)",
+                pool_report.total() + test_report.total()
+            );
+            fieldswap_obs::counter_add("fieldswap_ingest_sanitized_docs_total", docs as u64);
         }
         (pool, test)
     }
@@ -562,10 +621,10 @@ impl Harness {
     }
 
     /// The training front half of one experiment, shared verbatim by
-    /// [`run_single`](Self::run_single) and the robustness evaluation
-    /// (`run_robustness_cell`): sample, configure, augment, and train —
-    /// everything except the final evaluation. Identical spans, identical
-    /// random draws, identical extractor.
+    /// every cell kind through [`score_cell`](Self::score_cell): sample,
+    /// configure, augment, and train — everything except the final
+    /// evaluation. Identical spans, identical random draws, identical
+    /// extractor.
     pub(crate) fn train_cell(
         &self,
         domain: Domain,
@@ -681,6 +740,54 @@ impl Harness {
         (extractor, n_synthetics)
     }
 
+    /// The scoring back half shared by every cell kind: trains the cell
+    /// ([`train_cell`](Self::train_cell)), freezes it once — int8 when
+    /// `opts.quantized` is set — and scores the clean test set, then the
+    /// attacked test set of each of `attacks`, in suite order. Returns the
+    /// clean score, the attacked scores and the synthetic count.
+    pub(crate) fn score_cell(
+        &self,
+        coords: CellCoords,
+        attacks: &[AttackSpec],
+    ) -> (EvalResult, Vec<EvalResult>, usize) {
+        let (domain, size, arm, sample_idx, trial_idx) = coords;
+        let (extractor, n_synthetics) = self.train_cell(domain, size, arm, sample_idx, trial_idx);
+        let frozen;
+        let clean = {
+            let _span = fieldswap_obs::span("eval");
+            frozen = if self.opts.quantized {
+                extractor.freeze().quantize()
+            } else {
+                extractor.freeze()
+            };
+            evaluate_frozen(&frozen, &self.domain_data(domain).1)
+        };
+        let attacked = attacks
+            .iter()
+            .map(|spec| {
+                let test = self.attacked_test(domain, *spec);
+                let started = fieldswap_obs::metrics_enabled().then(std::time::Instant::now);
+                let eval = {
+                    let _span = fieldswap_obs::span_tagged("eval_attacked", || {
+                        vec![
+                            ("attack", spec.kind.name().to_string()),
+                            ("strength", format!("{}", spec.strength)),
+                        ]
+                    });
+                    evaluate_frozen(&frozen, &test)
+                };
+                if let Some(t) = started {
+                    fieldswap_obs::observe(
+                        &format!("fieldswap_attack_eval_ms{{kind=\"{}\"}}", spec.kind.name()),
+                        t.elapsed().as_secs_f64() * 1e3,
+                    );
+                }
+                eval
+            })
+            .collect();
+        (clean, attacked, n_synthetics)
+    }
+
     /// Runs one experiment. Every random decision is seeded from the
     /// experiment's grid coordinates via [`cell_seed`], so the result is
     /// the same whether this cell runs serially or on a worker thread.
@@ -701,16 +808,8 @@ impl Harness {
                 ("trial", trial_idx.to_string()),
             ]
         });
-        let (extractor, n_synthetics) = self.train_cell(domain, size, arm, sample_idx, trial_idx);
-        let data = self.domain_data(domain);
-        let eval: EvalResult = {
-            let _span = fieldswap_obs::span("eval");
-            let mut frozen = extractor.freeze();
-            if self.opts.quantized {
-                frozen = frozen.quantize();
-            }
-            crate::metrics::evaluate_frozen(&frozen, &data.1)
-        };
+        let (eval, _, n_synthetics) =
+            self.score_cell((domain, size, arm, sample_idx, trial_idx), &[]);
         ExperimentResult {
             macro_f1: eval.macro_f1(),
             micro_f1: eval.micro_f1(),
@@ -720,124 +819,42 @@ impl Harness {
         }
     }
 
-    /// Runs the full protocol for one `(domain, size, arm)` point:
-    /// `n_samples x n_trials` experiments, averaged. Experiments fan out
-    /// over `opts.jobs` workers; the summary is bit-identical to a serial
-    /// run because each cell's randomness and output slot depend only on
-    /// its coordinates. A cell that panics twice is dropped from the
-    /// averages and counted in `failed_cells` while the rest of the
-    /// point completes.
+    /// Runs the full protocol for one `(domain, size, arm)` point: the
+    /// one-point [`run_grid`](Self::run_grid).
     pub fn run_point(&self, domain: Domain, size: usize, arm: Arm) -> PointSummary {
-        let n_trials = self.opts.n_trials;
-        let n_cells = self.opts.n_samples * n_trials;
-        // Root span on the caller's thread: cell spans close on worker
-        // threads, so this is what gives a trace its wall-clock root
-        // (and `trace_report` its critical-path anchor).
-        let _point_span = fieldswap_obs::span_tagged("point", || {
-            vec![
-                ("domain", domain.name().to_string()),
-                ("size", size.to_string()),
-                ("arm", arm.label().to_string()),
-                ("cells", n_cells.to_string()),
-                ("jobs", self.opts.jobs.to_string()),
-            ]
-        });
-        let coords = |cell: usize| (domain, size, arm, cell / n_trials, cell % n_trials);
-        let outcomes =
-            par_try_map_indexed(n_cells, self.opts.jobs, |cell| self.run_cell(coords(cell)));
-        let mut runs = Vec::with_capacity(n_cells);
-        let mut failed = 0;
-        for (cell, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(r) => runs.push(r),
-                Err(p) => {
-                    failed += 1;
-                    self.note_failure(coords(cell), &p);
-                }
-            }
-        }
-        self.summarize(domain, size, arm, runs, failed)
+        self.run_grid(&[(domain, size, arm)])
+            .pop()
+            .expect("one point in, one summary out")
     }
 
-    /// Runs every `(domain, size, arm)` point of a grid, fanning *all*
-    /// experiments of *all* points into one worker pool — so small points
-    /// can't leave cores idle while a big point finishes. Summaries come
-    /// back in the order of `points`, each reporting its own
-    /// `failed_cells` count.
+    /// Runs every `(domain, size, arm)` point of a grid: `n_samples x
+    /// n_trials` experiments per point, averaged. All experiments of all
+    /// points fan out over `opts.jobs` workers; each summary is
+    /// bit-identical to a serial run because each cell's randomness and
+    /// output slot depend only on its coordinates. Summaries come back in
+    /// the order of `points`. A cell that panics twice is dropped from the
+    /// averages and counted in its point's `failed_cells` while the rest
+    /// of the grid completes.
     pub fn run_grid(&self, points: &[(Domain, usize, Arm)]) -> Vec<PointSummary> {
-        let n_trials = self.opts.n_trials;
-        let per_point = self.opts.n_samples * n_trials;
-        let _grid_span = fieldswap_obs::span_tagged("grid", || {
-            vec![
-                ("points", points.len().to_string()),
-                ("cells", (points.len() * per_point).to_string()),
-                ("jobs", self.opts.jobs.to_string()),
-            ]
+        let cells = self.fan_out(points, "", |(domain, size, arm, sample_idx, trial_idx)| {
+            self.run_single(domain, size, arm, sample_idx, trial_idx)
         });
-        let coords = |i: usize| {
-            let (domain, size, arm) = points[i / per_point];
-            let cell = i % per_point;
-            (domain, size, arm, cell / n_trials, cell % n_trials)
-        };
-        let outcomes = par_try_map_indexed(points.len() * per_point, self.opts.jobs, |i| {
-            self.run_cell(coords(i))
-        });
-        let mut outcomes = outcomes.into_iter().enumerate();
-        let mut out = Vec::with_capacity(points.len());
-        for &(domain, size, arm) in points {
-            let mut runs = Vec::with_capacity(per_point);
-            let mut failed = 0;
-            for (i, outcome) in outcomes.by_ref().take(per_point) {
-                match outcome {
-                    Ok(r) => runs.push(r),
-                    Err(p) => {
-                        failed += 1;
-                        self.note_failure(coords(i), &p);
-                    }
-                }
-            }
-            out.push(self.summarize(domain, size, arm, runs, failed));
-        }
-        out
-    }
-
-    fn summarize(
-        &self,
-        domain: Domain,
-        size: usize,
-        arm: Arm,
-        runs: Vec<ExperimentResult>,
-        failed_cells: usize,
-    ) -> PointSummary {
-        if failed_cells > 0 {
-            fieldswap_obs::warn!(
-                "({}, {}, {}): {} cell(s) failed; means cover {} success(es) only",
-                domain.name(),
-                size,
-                arm.label(),
-                failed_cells,
-                runs.len()
-            );
-        }
-        // Guard the all-cells-failed case: 0.0, not 0/0 — NaN would be
-        // unrepresentable in the JSON reports.
-        let mean = |sum: f64| {
-            if runs.is_empty() {
-                0.0
-            } else {
-                sum / runs.len() as f64
-            }
-        };
-        PointSummary {
-            domain: domain.name().to_string(),
-            size,
-            arm: arm.label().to_string(),
-            macro_f1: mean(runs.iter().map(|r| r.macro_f1).sum::<f64>()),
-            micro_f1: mean(runs.iter().map(|r| r.micro_f1).sum::<f64>()),
-            synthetics: mean(runs.iter().map(|r| r.n_synthetics as f64).sum::<f64>()),
-            failed_cells,
-            runs,
-        }
+        points
+            .iter()
+            .zip(cells)
+            .map(
+                |(&(domain, size, arm), (runs, failed_cells))| PointSummary {
+                    domain: domain.name().to_string(),
+                    size,
+                    arm: arm.label().to_string(),
+                    macro_f1: mean_over(&runs, |r| r.macro_f1),
+                    micro_f1: mean_over(&runs, |r| r.micro_f1),
+                    synthetics: mean_over(&runs, |r| r.n_synthetics as f64),
+                    failed_cells,
+                    runs,
+                },
+            )
+            .collect()
     }
 
     /// Counts synthetic documents for one point without training — the
@@ -882,7 +899,6 @@ mod tests {
             seed: 0x7E57,
             jobs: 1,
             train_jobs: 1,
-            sanitize: true,
             quantized: false,
         }
     }

@@ -25,7 +25,6 @@ fn tiny_options() -> HarnessOptions {
         seed: 0x7E57,
         jobs: 2,
         train_jobs: 1,
-        sanitize: true,
         quantized: false,
     }
 }

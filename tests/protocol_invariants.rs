@@ -18,7 +18,6 @@ fn tiny_options(seed: u64) -> HarnessOptions {
         seed,
         jobs: 1,
         train_jobs: 1,
-        sanitize: true,
         quantized: false,
     }
 }
