@@ -273,18 +273,14 @@ fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, u16> {
     if content_length > MAX_BODY_BYTES {
         return Err(413);
     }
-    let mut body = buf[head_end + 4..].to_vec();
-    if body.len() > content_length {
-        body.truncate(content_length);
-    }
-    while body.len() < content_length {
-        let want = (content_length - body.len()).min(chunk.len());
-        let n = stream.read(&mut chunk[..want]).map_err(|_| 400u16)?;
-        if n == 0 {
-            return Err(400);
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
+    // One allocation for the whole body. `vec!` zero-fills lazily, so a
+    // client that declares a large body and stalls does not get it paged
+    // in; a short body or a read timeout fails `read_exact` with a 400.
+    let mut body = vec![0u8; content_length];
+    let early = &buf[head_end + 4..];
+    let have = early.len().min(content_length);
+    body[..have].copy_from_slice(&early[..have]);
+    stream.read_exact(&mut body[have..]).map_err(|_| 400u16)?;
     Ok(HttpRequest { method, path, body })
 }
 
@@ -592,6 +588,46 @@ mod tests {
         stream.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 200"), "{out}");
         assert!(out.ends_with(&body));
+        server.shutdown();
+    }
+
+    #[test]
+    fn short_or_stalled_bodies_get_400_and_extra_bytes_are_ignored() {
+        let handler: Handler = Arc::new(|req: &HttpRequest| {
+            HttpResponse::text(200, String::from_utf8(req.body.clone()).unwrap())
+        });
+        let server = HttpServer::start("127.0.0.1:0", "test-http", handler).unwrap();
+        let addr = server.addr();
+        let send = |body: &str, declared: usize, close: bool| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .write_all(
+                    format!(
+                        "POST /b HTTP/1.1\r\nHost: x\r\nContent-Length: {declared}\r\n\r\n{body}"
+                    )
+                    .as_bytes(),
+                )
+                .unwrap();
+            if close {
+                stream.shutdown(std::net::Shutdown::Write).unwrap();
+            }
+            let mut out = String::new();
+            stream.read_to_string(&mut out).unwrap();
+            out
+        };
+        std::thread::scope(|s| {
+            // Declared 100 bytes, sent 10 and stalled: the read times out.
+            let stalled = s.spawn(|| send(&"y".repeat(10), 100, false));
+            // Declared 100 bytes, sent 10 and closed.
+            let out = send(&"y".repeat(10), 100, true);
+            assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+            // Bytes past the declared length are not part of the body.
+            let out = send("abcdef", 3, true);
+            assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+            assert!(out.ends_with("\r\n\r\nabc"), "{out}");
+            let out = stalled.join().unwrap();
+            assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        });
         server.shutdown();
     }
 

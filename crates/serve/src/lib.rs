@@ -19,7 +19,8 @@
 //!   with per-stage latency histograms and request/error counters, and
 //!   hardened for overload: admission control with `503` + `Retry-After`
 //!   shedding, per-request deadlines (`504`), panic isolation, and a
-//!   `/reload` circuit breaker.
+//!   `/reload` circuit breaker. A `/v1/extract` body is decoded in one
+//!   pass, straight from JSON text into an [`ExtractRequest`].
 //! * [`chaos`] — deterministic fault injection (seeded [`FaultPlan`])
 //!   behind the hidden `--chaos` flag, driving the chaos soak test and
 //!   `serve_bench --chaos`.
@@ -36,7 +37,7 @@ pub mod server;
 pub use chaos::{backoff_ms, Chaos, FaultPlan};
 pub use executor::{Executor, PredictResult, ScoredSpans};
 pub use registry::{match_score, ModelEntry, Registry, RegistrySnapshot, MODEL_EXT};
-pub use server::{ServeConfig, ServeHandle};
+pub use server::{ExtractRequest, ServeConfig, ServeHandle};
 
 use fieldswap_datagen::Domain;
 

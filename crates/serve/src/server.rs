@@ -51,7 +51,7 @@ use crate::registry::{match_score, ModelEntry, Registry, RegistrySnapshot};
 use fieldswap_docmodel::Document;
 use fieldswap_extract::FrozenModel;
 use fieldswap_obs::{Collector, Handler, HttpRequest, HttpResponse, HttpServer};
-use serde::{Deserialize, Value};
+use serde::{Deserialize, Reader, Value};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -419,15 +419,21 @@ impl ServeState {
     fn extract(&self, body: &[u8]) -> Result<HttpResponse, Reject> {
         let start = Instant::now();
 
-        // Parse: bytes -> JSON -> validated documents.
+        // Parse: bytes -> documents in one pass -> validated documents.
         let t_parse = Instant::now();
         let text =
             std::str::from_utf8(body).map_err(|_| Reject::new(400, "body is not valid UTF-8\n"))?;
-        let value: Value = serde_json::from_str(text)
-            .map_err(|e| Reject::new(400, format!("malformed JSON: {e}\n")))?;
+        // Only a failed decode reads the body twice: a syntax error
+        // anywhere in it is a 400, even after a type error earlier in
+        // the text.
+        let request: ExtractRequest =
+            serde_json::from_str(text).map_err(|e| match serde_json::from_str::<Value>(text) {
+                Err(syntax) => Reject::new(400, format!("malformed JSON: {syntax}\n")),
+                Ok(_) => Reject::new(422, format!("bad document: {e}\n")),
+            })?;
         // The effective deadline is the tighter of the request's own
         // "timeout_ms" and the server default, measured from entry.
-        let timeout_ms = match value.get("timeout_ms") {
+        let timeout_ms = match request.timeout_ms {
             None | Some(Value::Null) => None,
             Some(v) => Some(v.as_u64().ok_or_else(|| {
                 Reject::new(422, "\"timeout_ms\" must be a non-negative integer\n")
@@ -440,11 +446,9 @@ impl ServeState {
             (None, d) => Some(d),
         };
         let deadline = effective_ms.map(|ms| start + Duration::from_millis(ms));
-        let docs_value = value
-            .get("documents")
+        let docs = request
+            .documents
             .ok_or_else(|| Reject::new(422, "missing \"documents\" array\n"))?;
-        let docs: Vec<Document> = Vec::deserialize_docs(docs_value)
-            .map_err(|e| Reject::new(422, format!("bad document: {e}\n")))?;
         if self.max_docs_per_request > 0 && docs.len() > self.max_docs_per_request {
             return Err(Reject::new(
                 413,
@@ -459,9 +463,9 @@ impl ServeState {
             d.validate()
                 .map_err(|e| Reject::new(422, format!("invalid document {:?}: {e}\n", d.id)))?;
         }
-        let pinned = match value.get("model") {
+        let pinned = match request.model {
             None | Some(Value::Null) => None,
-            Some(Value::Str(name)) => Some(name.clone()),
+            Some(Value::Str(name)) => Some(name),
             Some(_) => return Err(Reject::new(422, "\"model\" must be a string\n")),
         };
         self.observe_stage("parse", t_parse);
@@ -571,13 +575,52 @@ impl ServeState {
     }
 }
 
-/// Helper trait so document deserialization reads as one call above.
-trait DeserializeDocs: Sized {
-    fn deserialize_docs(v: &Value) -> Result<Self, serde::Error>;
+/// A `/v1/extract` body: the documents plus the raw `"timeout_ms"` and
+/// `"model"` values, which the handler checks after decoding.
+///
+/// [`serde_json::from_str`] reads it in one pass, straight from the text
+/// into [`Document`]s. As with [`Value::get`], the first occurrence of a
+/// key wins; later duplicates and unknown keys are skipped, and a body
+/// that is not an object reads as one without keys.
+#[derive(Debug, Default, PartialEq)]
+pub struct ExtractRequest {
+    /// The `"documents"` array, if present.
+    pub documents: Option<Vec<Document>>,
+    /// The raw `"timeout_ms"` value, if present.
+    pub timeout_ms: Option<Value>,
+    /// The raw `"model"` value, if present.
+    pub model: Option<Value>,
 }
 
-impl DeserializeDocs for Vec<Document> {
-    fn deserialize_docs(v: &Value) -> Result<Self, serde::Error> {
-        Deserialize::from_value(v)
+impl Deserialize for ExtractRequest {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(Self {
+            documents: v
+                .get("documents")
+                .map(Deserialize::from_value)
+                .transpose()?,
+            timeout_ms: v.get("timeout_ms").cloned(),
+            model: v.get("model").cloned(),
+        })
+    }
+
+    fn from_json(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let mut req = Self::default();
+        if r.peek() != Some(b'{') {
+            r.skip()?;
+            return Ok(req);
+        }
+        r.object(|r, key| {
+            match &*key {
+                "documents" if req.documents.is_none() => {
+                    req.documents = Some(Deserialize::from_json(r)?)
+                }
+                "timeout_ms" if req.timeout_ms.is_none() => req.timeout_ms = Some(r.value()?),
+                "model" if req.model.is_none() => req.model = Some(r.value()?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(req)
     }
 }

@@ -87,6 +87,14 @@ fn extract_body(docs: &[Document], model: Option<&str>) -> String {
     serde_json::to_string(&Value::Object(fields)).unwrap()
 }
 
+/// The value under `key` in an object value.
+fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Object(fields) = v else {
+        panic!("expected an object, found {v:?}")
+    };
+    &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
+}
+
 type ResultFields = Vec<(u16, u32, u32, String)>;
 
 /// `(model, [(field, start, end, value)])` for each result in a 200
@@ -307,6 +315,80 @@ fn malformed_and_oversized_requests_get_4xx_without_killing_the_server() {
     let mut doc = generate(Domain::Fara, 71, 1).documents.remove(0);
     doc.tokens.truncate(1);
     let (status, _) = post(addr, "/v1/extract", &extract_body(&[doc], None));
+    assert_eq!(status, 422);
+    // A type error followed by a syntax error is still malformed JSON.
+    let (status, body) = post(addr, "/v1/extract", "{\"documents\": 5, \"x\": }");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.starts_with("malformed JSON: "), "{body}");
+    // Nesting deep enough to overflow a recursive parser's stack.
+    let (status, _) = post(
+        addr,
+        "/v1/extract",
+        &format!("{{\"documents\": {}", "[".repeat(100_000)),
+    );
+    assert_eq!(status, 400);
+    let docs = generate(Domain::Fara, 73, 3).documents;
+    let doc_json = |d: &Document| serde_json::to_string(&d.to_value()).unwrap();
+    // A line token written as a negative float is out of range, not 0.
+    let mut bad_line = docs[0].to_value();
+    let Value::Array(lines) = field_mut(&mut bad_line, "lines") else {
+        panic!("lines is an array")
+    };
+    *field_mut(&mut lines[0], "tokens") = Value::Array(vec![Value::Float(-1.0)]);
+    let (status, body) = post(
+        addr,
+        "/v1/extract",
+        &format!(
+            "{{\"documents\": [{}]}}",
+            serde_json::to_string(&bad_line).unwrap()
+        ),
+    );
+    assert_eq!(status, 422, "{body}");
+    // "timeout_ms" counts wherever it sits in the body.
+    let (status, _) = post(
+        addr,
+        "/v1/extract",
+        &format!(
+            "{{\"documents\": [{}], \"timeout_ms\": 0}}",
+            doc_json(&docs[0])
+        ),
+    );
+    assert_eq!(status, 504);
+    // A duplicate "documents" key: the first one is served.
+    let (status, body) = post(
+        addr,
+        "/v1/extract",
+        &format!(
+            "{{\"documents\": [{}], \"documents\": [{}, {}]}}",
+            doc_json(&docs[0]),
+            doc_json(&docs[1]),
+            doc_json(&docs[2])
+        ),
+    );
+    assert_eq!(status, 200, "{body}");
+    let v: Value = serde_json::from_str(&body).unwrap();
+    let results = v.get("results").unwrap().as_array().unwrap();
+    assert_eq!(results.len(), 1);
+    assert_eq!(
+        results[0].get("doc_id").unwrap().as_str(),
+        Some(docs[0].id.as_str())
+    );
+    // Unknown top-level keys are ignored.
+    let (status, body) = post(
+        addr,
+        "/v1/extract",
+        &format!(
+            "{{\"trace\": {{\"a\": [1, \"x\"]}}, \"documents\": [{}]}}",
+            doc_json(&docs[0])
+        ),
+    );
+    assert_eq!(status, 200, "{body}");
+    // A non-string "model" is refused.
+    let (status, _) = post(
+        addr,
+        "/v1/extract",
+        &format!("{{\"documents\": [{}], \"model\": 5}}", doc_json(&docs[0])),
+    );
     assert_eq!(status, 422);
     // Oversized declared body: rejected before the handler ever runs.
     let (status, _) = http(
