@@ -79,17 +79,6 @@ fn fig4(c: &mut Criterion) {
     });
 }
 
-fn fig5(c: &mut Criterion) {
-    c.bench_function("figures/fig5_micro_point", |b| {
-        let h = Harness::new(bench_opts(6));
-        b.iter(|| {
-            let base = h.run_single(Domain::Fara, 5, Arm::Baseline, 0, 0);
-            let swap = h.run_single(Domain::Fara, 5, Arm::AutoFieldToField, 0, 0);
-            black_box(swap.micro_f1 - base.micro_f1)
-        })
-    });
-}
-
 fn fig6(c: &mut Criterion) {
     c.bench_function("figures/fig6_boxstats", |b| {
         let h = Harness::new(bench_opts(7));
@@ -120,6 +109,6 @@ fn corpus_generation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = table1, table2, table3, table4, fig4, fig5, fig6, corpus_generation
+    targets = table1, table2, table3, table4, fig4, fig6, corpus_generation
 }
 criterion_main!(benches);

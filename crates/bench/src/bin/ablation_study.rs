@@ -10,16 +10,45 @@
 //! 4. the discard-unchanged rule on vs off;
 //! 5. ground-truth-token exclusion on vs off;
 //! 6. all-to-all vs type-to-type pair mapping (end-to-end).
+//!
+//! `--json PATH` writes every printed row.
 
 use fieldswap_bench::{BinArgs, TablePrinter};
 use fieldswap_core::config::normalize_phrase;
 use fieldswap_core::{EngineOptions, FieldSwapConfig, PairStrategy, SwapPlan};
 use fieldswap_datagen::{generate, Domain};
 use fieldswap_docmodel::NeighborMetric;
-use fieldswap_eval::Arm;
+use fieldswap_eval::{Arm, PointSummary};
 use fieldswap_keyphrase::{
     infer_key_phrases, Aggregation, ImportanceModel, InferenceConfig, ModelConfig, Sparsify,
 };
+use serde::Serialize;
+
+/// One variant's key-phrase quality.
+#[derive(Serialize)]
+struct HitRow {
+    variant: String,
+    /// Oracle hit rate in `[0, 1]`.
+    hit_rate: f64,
+    /// Inferred phrases over all fields.
+    phrases: usize,
+}
+
+/// Synthetic counts with the discard-unchanged rule on and off.
+#[derive(Serialize)]
+struct DiscardReport {
+    rule_on: usize,
+    rule_off: usize,
+}
+
+/// Every table the study prints.
+#[derive(Serialize)]
+struct AblationReport {
+    inference: Vec<HitRow>,
+    neighbor_metric: Vec<HitRow>,
+    discard_unchanged: DiscardReport,
+    pair_mapping: Vec<PointSummary>,
+}
 
 /// Fraction of fields (with oracle phrases and at least one inferred
 /// phrase) whose top-3 inferred phrases hit the oracle bank.
@@ -78,7 +107,21 @@ fn main() {
 
     // --- 1/2/3/5: inference-pipeline ablations, scored by oracle hit rate.
     println!("key-phrase inference ablations (oracle hit rate on Earnings):");
-    let t = TablePrinter::new(&[("variant", 40), ("hit rate", 9), ("phrases", 8)]);
+    let hit_table = || TablePrinter::new(&[("variant", 40), ("hit rate", 9), ("phrases", 8)]);
+    let hit_row = |t: &TablePrinter, variant: &str, ranked: &[Vec<_>]| {
+        let row = HitRow {
+            variant: variant.to_string(),
+            hit_rate: oracle_hit_rate(Domain::Earnings, ranked),
+            phrases: ranked.iter().map(Vec::len).sum(),
+        };
+        t.row(&[
+            row.variant.clone(),
+            format!("{:.0}%", row.hit_rate * 100.0),
+            row.phrases.to_string(),
+        ]);
+        row
+    };
+    let t = hit_table();
     let variants: Vec<(&str, InferenceConfig)> = vec![
         (
             "paper defaults (sparsemax, noisy-or, excl.)",
@@ -106,20 +149,15 @@ fn main() {
             },
         ),
     ];
-    for (name, cfg) in &variants {
-        let ranked = infer_key_phrases(&model, &target, cfg);
-        let hit = oracle_hit_rate(Domain::Earnings, &ranked);
-        let n: usize = ranked.iter().map(Vec::len).sum();
-        t.row(&[
-            name.to_string(),
-            format!("{:.0}%", hit * 100.0),
-            n.to_string(),
-        ]);
-    }
+    let inference = variants
+        .iter()
+        .map(|(name, cfg)| hit_row(&t, name, &infer_key_phrases(&model, &target, cfg)))
+        .collect();
 
     // --- 1b: neighbor metric, via a model trained with each metric.
     println!("\nneighbor metric ablation (oracle hit rate on Earnings):");
-    let t = TablePrinter::new(&[("variant", 40), ("hit rate", 9)]);
+    let t = hit_table();
+    let mut neighbor_metric = Vec::new();
     for (name, metric) in [
         ("off-axis |dx|*|dy| (paper)", NeighborMetric::OffAxis),
         ("euclidean", NeighborMetric::Euclidean),
@@ -136,8 +174,7 @@ fn main() {
         );
         m.train(&pretrain, seed ^ 1);
         let ranked = infer_key_phrases(&m, &target, &InferenceConfig::default());
-        let hit = oracle_hit_rate(Domain::Earnings, &ranked);
-        t.row(&[name.to_string(), format!("{:.0}%", hit * 100.0)]);
+        neighbor_metric.push(hit_row(&t, name, &ranked));
     }
 
     // --- 4: discard-unchanged rule, measured by contradiction count.
@@ -172,9 +209,19 @@ fn main() {
         .into_iter()
         .map(|arm| (Domain::Earnings, 10, arm))
         .collect();
-    for p in harness.run_grid(&points) {
+    let pair_mapping = harness.run_grid(&points);
+    for p in &pair_mapping {
         t.row(&[p.arm.clone(), format!("{:.2}", p.macro_f1)]);
     }
     println!("(paper: all-to-all is 'nearly always worse' than type-to-type)");
+    args.maybe_write_json(&AblationReport {
+        inference,
+        neighbor_metric,
+        discard_unchanged: DiscardReport {
+            rule_on: on,
+            rule_off: off,
+        },
+        pair_mapping,
+    });
     args.finish();
 }

@@ -15,80 +15,57 @@
 //! (schema + documents with tokens/bboxes/lines/annotations); the config
 //! JSON is the serde form of [`fieldswap_core::FieldSwapConfig`].
 
-use fieldswap_bench::{fail, finish_obs};
+use fieldswap_bench::{fail, ObsArgs};
 use fieldswap_core::{augment_corpus, FieldSwapConfig, PairStrategy};
 use fieldswap_datagen::{generate, Domain};
 use fieldswap_docmodel::Corpus;
+use fieldswap_obs::cli::Flags;
 use std::path::Path;
 
-fn usage() -> ! {
+fn usage(msg: &str) -> ! {
     eprintln!("usage: augment_json --corpus CORPUS.json --config CONFIG.json --out OUT.json");
     eprintln!("       augment_json --corpus CORPUS.json --strategy t2t|f2f|a2a --out OUT.json");
     eprintln!("         (--strategy derives phrases from field names when no --config is given)");
     eprintln!("       augment_json --demo DIR        write a demo corpus + config into DIR");
     eprintln!("       common flags: [--trace PATH] [--metrics PATH] [--verbose|-v] [--quiet|-q]");
-    fail("invalid arguments")
+    fail(msg)
+}
+
+/// Command-line options.
+struct Args {
+    corpus: Option<String>,
+    config: Option<String>,
+    out: Option<String>,
+    strategy: Option<String>,
+    demo: Option<String>,
+    obs: ObsArgs,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut corpus_path = None;
-    let mut config_path = None;
-    let mut out_path = None;
-    let mut strategy = None;
-    let mut demo_dir = None;
-    let mut trace = None;
-    let mut metrics = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--corpus" => {
-                i += 1;
-                corpus_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--config" => {
-                i += 1;
-                config_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--out" => {
-                i += 1;
-                out_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--strategy" => {
-                i += 1;
-                strategy = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--demo" => {
-                i += 1;
-                demo_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--trace" => {
-                i += 1;
-                trace = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-                fieldswap_obs::enable_tracing();
-            }
-            "--metrics" => {
-                i += 1;
-                metrics = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-                fieldswap_obs::enable_metrics();
-            }
-            "--verbose" | "-v" => fieldswap_obs::set_verbosity(fieldswap_obs::Verbosity::Verbose),
-            "--quiet" | "-q" => fieldswap_obs::set_verbosity(fieldswap_obs::Verbosity::Quiet),
-            _ => usage(),
-        }
-        i += 1;
-    }
+    let args = Flags::from_env()
+        .read(|f| {
+            Ok(Args {
+                corpus: f.value("--corpus")?,
+                config: f.value("--config")?,
+                out: f.value("--out")?,
+                strategy: f.value("--strategy")?,
+                demo: f.value("--demo")?,
+                obs: ObsArgs::read(f, &["--trace", "--metrics"])?,
+            })
+        })
+        .unwrap_or_else(|e| usage(&e));
+    args.obs.apply();
 
-    if let Some(dir) = demo_dir {
-        write_demo(Path::new(&dir));
-        finish_obs(trace.as_deref(), metrics.as_deref());
+    if let Some(dir) = &args.demo {
+        write_demo(Path::new(dir));
+        args.obs.finish();
         return;
     }
-    let (Some(corpus_path), Some(out_path)) = (corpus_path, out_path) else {
-        usage()
+    let (Some(corpus_path), Some(out_path)) = (&args.corpus, &args.out) else {
+        usage("--corpus and --out are required (or --demo DIR)")
     };
 
-    let corpus_json = std::fs::read_to_string(&corpus_path)
+    let corpus_json = std::fs::read_to_string(corpus_path)
         .unwrap_or_else(|e| fail(&format!("cannot read {corpus_path}: {e}")));
     let mut corpus: Corpus = serde_json::from_str(&corpus_json)
         .unwrap_or_else(|e| fail(&format!("{corpus_path} is not a corpus JSON: {e}")));
@@ -99,9 +76,9 @@ fn main() {
         }
     }
 
-    let config = match (config_path, strategy) {
+    let config = match (&args.config, &args.strategy) {
         (Some(p), _) => {
-            let s = std::fs::read_to_string(&p)
+            let s = std::fs::read_to_string(p)
                 .unwrap_or_else(|e| fail(&format!("cannot read {p}: {e}")));
             FieldSwapConfig::from_json(&s)
                 .unwrap_or_else(|e| fail(&format!("{p} is not a FieldSwap config: {e}")))
@@ -113,12 +90,12 @@ fn main() {
                 "f2f" => PairStrategy::FieldToField,
                 "t2t" => PairStrategy::TypeToType,
                 "a2a" => PairStrategy::AllToAll,
-                _ => usage(),
+                other => usage(&format!("--strategy: unknown strategy {other:?}")),
             };
             config.set_pairs(strategy.build(&corpus.schema, &config));
             config
         }
-        (None, None) => usage(),
+        (None, None) => usage("--config or --strategy is required"),
     };
 
     let (synthetics, stats) = augment_corpus(&corpus, &config);
@@ -131,10 +108,10 @@ fn main() {
     );
     let out = Corpus::new(corpus.schema.clone(), synthetics);
     let json = serde_json::to_string(&out).expect("corpus serializes");
-    std::fs::write(&out_path, json)
+    std::fs::write(out_path, json)
         .unwrap_or_else(|e| fail(&format!("cannot write {out_path}: {e}")));
     fieldswap_obs::info!("wrote {out_path}");
-    finish_obs(trace.as_deref(), metrics.as_deref());
+    args.obs.finish();
 }
 
 fn write_demo(dir: &Path) {

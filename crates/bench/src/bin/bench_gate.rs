@@ -30,6 +30,7 @@
 //!   overload metrics still pass per the missing-baseline guard).
 
 use fieldswap_bench::gate;
+use fieldswap_obs::cli::Flags;
 use serde_json::Value;
 
 fn usage(msg: &str) -> ! {
@@ -48,49 +49,14 @@ fn load(path: &str) -> Value {
         .unwrap_or_else(|e| fieldswap_bench::fail(&format!("parse {path}: {e}")))
 }
 
-/// `(flag, value)` pairs after the mode word, every flag taking exactly
-/// one value.
-fn flag_values(args: &[String]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = &args[i];
-        if !flag.starts_with("--") {
-            usage(&format!("expected a flag, found {flag:?}"));
-        }
-        let Some(value) = args.get(i + 1) else {
-            usage(&format!("{flag} expects a value"));
-        };
-        if value.starts_with("--") {
-            usage(&format!("{flag} expects a value, found flag {value}"));
-        }
-        out.push((flag.clone(), value.clone()));
-        i += 2;
-    }
-    out
-}
-
-fn num(v: &str, flag: &str) -> f64 {
-    v.parse()
-        .unwrap_or_else(|_| usage(&format!("{flag}: bad value {v:?}")))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(mode) = args.first() else {
+    let Some((mode, rest)) = args.split_first() else {
         usage("missing mode (perf|quant|serve)");
     };
-    let flags = flag_values(&args[1..]);
-    let get = |name: &str| -> Option<&str> {
-        flags
-            .iter()
-            .rev()
-            .find(|(f, _)| f == name)
-            .map(|(_, v)| v.as_str())
-    };
-    let require = |name: &str| -> &str {
-        get(name).unwrap_or_else(|| usage(&format!("{mode} requires {name}")))
-    };
+    let flags = Flags::new(rest.to_vec());
+    let required =
+        |name: &str, path: Option<String>| path.ok_or_else(|| format!("{mode} requires {name}"));
 
     let failed = match mode.as_str() {
         "perf" | "serve" => {
@@ -99,38 +65,41 @@ fn main() {
             } else {
                 &gate::SERVE_GATE
             };
-            for (f, _) in &flags {
-                if !["--baseline", "--current", "--max-regress"].contains(&f.as_str()) {
-                    usage(&format!("unknown {mode} flag {f}"));
-                }
-            }
-            let baseline = load(require("--baseline"));
-            let current = load(require("--current"));
-            let max_regress = get("--max-regress").map_or(0.30, |v| num(v, "--max-regress"));
-            let deltas = gate::regression_gate(rows, &baseline, &current, max_regress);
+            let (baseline, current, max_regress) = flags
+                .read(|f| {
+                    Ok((
+                        required("--baseline", f.value("--baseline")?)?,
+                        required("--current", f.value("--current")?)?,
+                        f.num("--max-regress")?.unwrap_or(0.30),
+                    ))
+                })
+                .unwrap_or_else(|e| usage(&e));
+            let deltas =
+                gate::regression_gate(rows, &load(&baseline), &load(&current), max_regress);
             print!("{}", gate::render_table(&deltas));
             println!("(gate fails when regression > {:.0}%)", max_regress * 100.0);
             deltas.iter().any(|d| d.failed)
         }
         "quant" => {
-            for (f, _) in &flags {
-                if !["--exact", "--quantized", "--epsilon", "--table"].contains(&f.as_str()) {
-                    usage(&format!("unknown quant flag {f}"));
-                }
-            }
-            let exact = load(require("--exact"));
-            let quantized = load(require("--quantized"));
-            let epsilon = get("--epsilon").map_or(fieldswap_eval::QUANT_MACRO_F1_EPSILON, |v| {
-                num(v, "--epsilon")
-            });
-            let deltas = gate::quant_gate(&exact, &quantized, epsilon);
+            let (exact, quantized, epsilon, table_path) = flags
+                .read(|f| {
+                    Ok((
+                        required("--exact", f.value("--exact")?)?,
+                        required("--quantized", f.value("--quantized")?)?,
+                        f.num("--epsilon")?
+                            .unwrap_or(fieldswap_eval::QUANT_MACRO_F1_EPSILON),
+                        f.value("--table")?,
+                    ))
+                })
+                .unwrap_or_else(|e| usage(&e));
+            let deltas = gate::quant_gate(&load(&exact), &load(&quantized), epsilon);
             if deltas.is_empty() {
                 fieldswap_bench::fail("no comparable points found in the two dumps");
             }
             let table = gate::render_quant_table(&deltas, epsilon);
             print!("{table}");
-            if let Some(path) = get("--table") {
-                std::fs::write(path, &table)
+            if let Some(path) = table_path {
+                std::fs::write(&path, &table)
                     .unwrap_or_else(|e| fieldswap_bench::fail(&format!("write {path}: {e}")));
                 fieldswap_obs::info!("wrote {path}");
             }

@@ -37,12 +37,14 @@
 //! report opens with a machine fingerprint (CPU model, core count, SIMD
 //! level), since wall times only compare within one machine class.
 
+use fieldswap_bench::ObsArgs;
 use fieldswap_core::augment_corpus;
 use fieldswap_datagen::{generate, generate_paper_splits, Domain};
 use fieldswap_eval::{evaluate, expert_config, Arm, Harness, HarnessOptions};
 use fieldswap_extract::{Extractor, InferScratch, Lexicon, TrainConfig};
 use fieldswap_keyphrase::{ImportanceModel, ModelConfig};
 use fieldswap_nn::{Init, ParamStore, Tape, Tensor};
+use fieldswap_obs::cli::Flags;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -211,78 +213,32 @@ fn usage(msg: &str) -> ! {
     fieldswap_bench::fail(msg)
 }
 
+/// Command-line options.
+struct Args {
+    out: String,
+    seed: u64,
+    train_jobs: usize,
+    /// Evaluate the `fig4_point` stage through the int8 table.
+    quantized: bool,
+    obs: ObsArgs,
+}
+
 fn main() {
-    let mut out_path = String::from("BENCH_train.json");
-    let mut seed = 0x5EEDu64;
-    let mut train_jobs = 1usize;
-    let mut quantized_point = false;
-    let mut trace = None;
-    let mut metrics = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out_path = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("missing --out path"))
-                    .clone();
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("missing --seed value"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad seed"));
-            }
-            "--train-jobs" => {
-                i += 1;
-                train_jobs = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("missing --train-jobs value"))
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --train-jobs value"));
-            }
-            "--quantized" => quantized_point = true,
-            "--trace" => {
-                i += 1;
-                trace = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("missing --trace path"))
-                        .clone(),
-                );
-                fieldswap_obs::enable_tracing();
-            }
-            "--metrics" => {
-                i += 1;
-                metrics = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("missing --metrics path"))
-                        .clone(),
-                );
-            }
-            "--obs-listen" => {
-                i += 1;
-                let addr = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("missing --obs-listen address"));
-                fieldswap_obs::enable_tracing();
-                fieldswap_obs::enable_metrics();
-                let server = fieldswap_obs::ObsServer::start(fieldswap_obs::global(), addr)
-                    .unwrap_or_else(|e| {
-                        usage(&format!("--obs-listen {addr}: {e}"));
-                    });
-                fieldswap_obs::info!("obs server listening on http://{}", server.addr());
-                std::mem::forget(server);
-            }
-            "--verbose" | "-v" => fieldswap_obs::set_verbosity(fieldswap_obs::Verbosity::Verbose),
-            "--quiet" | "-q" => fieldswap_obs::set_verbosity(fieldswap_obs::Verbosity::Quiet),
-            other => usage(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
+    let args = Flags::from_env()
+        .read(|f| {
+            Ok(Args {
+                out: f
+                    .value("--out")?
+                    .unwrap_or_else(|| "BENCH_train.json".into()),
+                seed: f.num("--seed")?.unwrap_or(0x5EED),
+                train_jobs: f.num("--train-jobs")?.unwrap_or(1),
+                obs: ObsArgs::read(f, &["--trace", "--metrics", "--obs-listen"])?,
+                quantized: f.switch(&["--quantized"])?,
+            })
+        })
+        .unwrap_or_else(|e| usage(&e));
+    args.obs.apply();
+    let (seed, train_jobs) = (args.seed, args.train_jobs);
     // Stage timings always flow into the metrics registry — they *are*
     // the payload of this binary — whether or not `--metrics` exports
     // them to a file.
@@ -457,7 +413,7 @@ fn main() {
     opts.seed = seed;
     opts.jobs = 1;
     opts.train_jobs = train_jobs;
-    opts.quantized = quantized_point;
+    opts.quantized = args.quantized;
     let (samples, harness) = timed_passes(|| Harness::new(opts));
     let harness_build_ms = samples.iter().copied().fold(f64::INFINITY, f64::min);
     record_stage("harness_build", harness_build_ms);
@@ -471,7 +427,7 @@ fn main() {
         baseline_wall_ms: FIG4_POINT_BASELINE_MS,
         speedup_vs_baseline: FIG4_POINT_BASELINE_MS / fig4_ms,
         macro_f1: point.macro_f1,
-        quantized: quantized_point,
+        quantized: args.quantized,
         train_jobs,
     };
 
@@ -489,11 +445,12 @@ fn main() {
         fig4_point,
     };
     let json = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(&out_path, &json)
+    let out_path = &args.out;
+    std::fs::write(out_path, &json)
         .unwrap_or_else(|e| fieldswap_bench::fail(&format!("write {out_path}: {e}")));
     println!("{json}");
     fieldswap_obs::info!(
         "sanity: extract macro-F1 {sanity_macro:.2}, nn forward checksum {checksum:.3}, wrote {out_path}"
     );
-    fieldswap_bench::finish_obs(trace.as_deref(), metrics.as_deref());
+    args.obs.finish();
 }

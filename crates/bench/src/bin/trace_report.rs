@@ -12,6 +12,7 @@ use fieldswap_bench::trace_report::{
     aggregate, diff_phases, parse_trace, render_diff, render_report,
 };
 use fieldswap_bench::{fail, trace_report::TraceSpan};
+use fieldswap_obs::cli::Flags;
 
 struct Args {
     trace: String,
@@ -20,80 +21,28 @@ struct Args {
     min_ms: f64,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace_report TRACE.jsonl [--baseline OLD.jsonl] [--gate-pct PCT] [--min-ms MS]"
-    );
-    std::process::exit(1)
-}
-
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut trace = None;
-    let mut baseline = None;
-    let mut gate_pct = 30.0;
-    let mut min_ms = 50.0;
-    let mut i = 0;
-    fn value<'a>(argv: &'a [String], i: &mut usize, flag: &str) -> &'a str {
-        *i += 1;
-        match argv.get(*i) {
-            Some(v) if !v.starts_with("--") => v,
-            _ => {
-                eprintln!("error: {flag} expects a value");
-                usage()
-            }
-        }
-    }
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--baseline" => baseline = Some(value(&argv, &mut i, "--baseline").to_string()),
-            "--gate-pct" => {
-                gate_pct = value(&argv, &mut i, "--gate-pct")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("error: --gate-pct: bad value");
-                        usage()
-                    })
-            }
-            "--min-ms" => {
-                min_ms = value(&argv, &mut i, "--min-ms")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("error: --min-ms: bad value");
-                        usage()
-                    })
-            }
-            other if other.starts_with("--") => {
-                eprintln!("error: unknown flag {other}");
-                usage()
-            }
-            other if trace.is_none() => trace = Some(other.to_string()),
-            other => {
-                eprintln!("error: unexpected argument {other}");
-                usage()
-            }
-        }
-        i += 1;
-    }
-    let Some(trace) = trace else {
-        eprintln!("error: missing TRACE.jsonl argument");
-        usage()
-    };
-    Args {
-        trace,
-        baseline,
-        gate_pct,
-        min_ms,
-    }
-}
-
 fn load(path: &str) -> Vec<TraceSpan> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {path}: {e}")));
     parse_trace(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Flags::from_env()
+        .read(|f| {
+            Ok(Args {
+                baseline: f.value("--baseline")?,
+                gate_pct: f.num("--gate-pct")?.unwrap_or(30.0),
+                min_ms: f.num("--min-ms")?.unwrap_or(50.0),
+                trace: f.positional().ok_or("missing TRACE.jsonl argument")?,
+            })
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            eprintln!(
+                "usage: trace_report TRACE.jsonl [--baseline OLD.jsonl] [--gate-pct PCT] [--min-ms MS]"
+            );
+            std::process::exit(1)
+        });
     let spans = load(&args.trace);
     println!("trace report: {} ({} spans)", args.trace, spans.len());
     println!();

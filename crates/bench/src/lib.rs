@@ -45,10 +45,11 @@
 //!   quantization gate); training is unaffected.
 //! * `--verbose`/`-v`, `--quiet`/`-q` — logger verbosity.
 //!
-//! Every option that takes a value rejects a `--`-prefixed token in the
-//! value position (`--json --seed` is a forgotten path, not a file named
-//! `--seed`) with a usage error rather than silently swallowing the next
-//! flag.
+//! Flags are read by the one workspace reader,
+//! [`fieldswap_obs::cli::Flags`]: an option that takes a value rejects a
+//! `--`-prefixed token in the value position (`--json --seed` is a
+//! forgotten path, not a file named `--seed`), and a repeated or unknown
+//! flag is a usage error rather than silently swallowed.
 //!
 //! Tracing and metrics are **inert for correctness**: stdout tables and
 //! `--json` dumps are byte-identical with or without them (enforced by
@@ -56,6 +57,7 @@
 
 use fieldswap_datagen::Domain;
 use fieldswap_eval::{CellCache, Harness, HarnessOptions};
+use fieldswap_obs::cli::Flags;
 
 pub mod gate;
 pub mod trace_report;
@@ -82,6 +84,38 @@ pub struct BinArgs {
     /// Override: worker threads inside each training run
     /// (`--train-jobs`; 0 = all cores, 1 = serial). Bitwise-neutral.
     pub train_jobs: Option<usize>,
+    /// Checkpoint directory for per-cell result persistence
+    /// (`--checkpoint-dir`, created if needed).
+    pub checkpoint_dir: Option<String>,
+    /// Existing checkpoint directory to resume from (`--resume`).
+    pub resume: Option<String>,
+    /// Comma-separated attack names for the robustness binaries
+    /// (`--attacks`; `all` or absent = the full taxonomy).
+    pub attacks: Option<String>,
+    /// Attack strength in `[0, 1]` (`--attack-strength`, default 0.5).
+    pub attack_strength: Option<f64>,
+    /// Evaluate through the int8-quantized frozen emission table
+    /// (`--quantized`). Approximate; training is unaffected.
+    pub quantized: bool,
+    /// Trace, metrics and logger flags.
+    pub obs: ObsArgs,
+}
+
+/// The observability flags every regeneration binary accepts; the
+/// other binaries take a subset.
+pub const OBS_FLAGS: [&str; 6] = [
+    "--trace",
+    "--trace-chrome",
+    "--flame",
+    "--metrics",
+    "--metrics-flush-secs",
+    "--obs-listen",
+];
+
+/// Observability flags: where traces and metrics go, the live server
+/// address, and the logger verbosity.
+#[derive(Debug, Clone, Default)]
+pub struct ObsArgs {
     /// JSONL trace output path (`--trace`); enables span recording.
     pub trace: Option<String>,
     /// Chrome trace-event JSON output path (`--trace-chrome`); enables
@@ -101,54 +135,61 @@ pub struct BinArgs {
     /// `/healthz`, and `/spans` for the lifetime of the process.
     /// Enables tracing and metrics; results stay byte-identical.
     pub obs_listen: Option<String>,
-    /// Checkpoint directory for per-cell result persistence
-    /// (`--checkpoint-dir`, created if needed).
-    pub checkpoint_dir: Option<String>,
-    /// Existing checkpoint directory to resume from (`--resume`).
-    pub resume: Option<String>,
-    /// Comma-separated attack names for the robustness binaries
-    /// (`--attacks`; `all` or absent = the full taxonomy).
-    pub attacks: Option<String>,
-    /// Attack strength in `[0, 1]` (`--attack-strength`, default 0.5).
-    pub attack_strength: Option<f64>,
-    /// Evaluate through the int8-quantized frozen emission table
-    /// (`--quantized`). Approximate; training is unaffected.
-    pub quantized: bool,
     /// Logger verbosity override (`--verbose`/`-v`, `--quiet`/`-q`).
     pub verbosity: Option<fieldswap_obs::Verbosity>,
 }
 
-/// The value following a value-taking flag, rejecting `--`-prefixed
-/// tokens: `--json --seed 7` means a forgotten path, and treating
-/// `--seed` as the path would silently drop both options.
-fn take_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
-    *i += 1;
-    match args.get(*i) {
-        Some(v) if v.starts_with("--") => Err(format!(
-            "{flag} expects a value, found flag {v} (use {flag} VALUE)"
-        )),
-        Some(v) => Ok(v),
-        None => Err(format!("{flag} expects a value")),
+impl ObsArgs {
+    /// Reads the flags of [`OBS_FLAGS`] named in `accepted`, plus
+    /// `-v`/`-q`, which every binary takes. Call it after the binary's
+    /// own value flags: it reads the verbosity switches.
+    pub fn read(flags: &mut Flags, accepted: &[&str]) -> Result<Self, String> {
+        let mut out = Self::default();
+        for &name in accepted {
+            match name {
+                "--trace" => out.trace = flags.value(name)?,
+                "--trace-chrome" => out.trace_chrome = flags.value(name)?,
+                "--flame" => out.flame = flags.value(name)?,
+                "--metrics" => out.metrics = flags.value(name)?,
+                "--metrics-flush-secs" => out.metrics_flush_secs = flags.num(name)?,
+                "--obs-listen" => out.obs_listen = flags.value(name)?,
+                other => unreachable!("{other} is not an observability flag"),
+            }
+        }
+        if out.metrics_flush_secs.is_some() && out.metrics.is_none() {
+            return Err(
+                "--metrics-flush-secs needs --metrics PATH (it controls how often that file is \
+                 rewritten)"
+                    .to_string(),
+            );
+        }
+        use fieldswap_obs::Verbosity::{Quiet, Verbose};
+        out.verbosity = match (
+            flags.switch(&["--verbose", "-v"])?,
+            flags.switch(&["--quiet", "-q"])?,
+        ) {
+            (true, true) => return Err("--verbose and --quiet are mutually exclusive".into()),
+            (true, false) => Some(Verbose),
+            (false, true) => Some(Quiet),
+            (false, false) => None,
+        };
+        Ok(out)
     }
-}
 
-impl BinArgs {
-    /// Parses `std::env::args()`, applying observability side effects
-    /// (tracing/metrics enablement, verbosity). Errors abort with a
-    /// usage message.
-    pub fn parse() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let out = Self::try_parse_from(&args).unwrap_or_else(|msg| usage(&msg));
-        if out.trace.is_some() || out.trace_chrome.is_some() || out.flame.is_some() {
+    /// Switches on what the flags ask for: span recording, metrics,
+    /// verbosity, the live `--obs-listen` server and the periodic
+    /// metrics flush. Failures exit through [`fail`].
+    pub fn apply(&self) {
+        if self.trace.is_some() || self.trace_chrome.is_some() || self.flame.is_some() {
             fieldswap_obs::enable_tracing();
         }
-        if out.metrics.is_some() {
+        if self.metrics.is_some() {
             fieldswap_obs::enable_metrics();
         }
-        if let Some(v) = out.verbosity {
+        if let Some(v) = self.verbosity {
             fieldswap_obs::set_verbosity(v);
         }
-        if let Some(addr) = &out.obs_listen {
+        if let Some(addr) = &self.obs_listen {
             // The live endpoints need both spans and metrics to serve
             // anything useful; both are inert for results (see the
             // byte-identity tests and the CI diff step).
@@ -161,7 +202,7 @@ impl BinArgs {
             // keeps serving until exit.
             std::mem::forget(server);
         }
-        if let (Some(path), Some(secs)) = (&out.metrics, out.metrics_flush_secs) {
+        if let (Some(path), Some(secs)) = (&self.metrics, self.metrics_flush_secs) {
             if secs > 0 {
                 let flusher = fieldswap_obs::PeriodicFlush::start(
                     fieldswap_obs::global(),
@@ -172,115 +213,88 @@ impl BinArgs {
                 std::mem::forget(flusher);
             }
         }
+    }
+
+    /// Flushes observability outputs: the JSONL trace plus a span-tree
+    /// summary on stderr (`--trace`), the Chrome trace-event export
+    /// (`--trace-chrome`), the collapsed-stack flamegraph (`--flame`),
+    /// and the Prometheus metrics dump (`--metrics`). Call once at the
+    /// end of `main`; a no-op when no obs flag was given.
+    pub fn finish(&self) {
+        let collector = fieldswap_obs::global();
+        if let Some(path) = &self.trace {
+            collector
+                .write_jsonl(path)
+                .unwrap_or_else(|e| fail(&format!("write trace {path}: {e}")));
+            eprint!("{}", collector.span_summary());
+            fieldswap_obs::info!("wrote trace {path} ({} events)", collector.events_len());
+        }
+        if let Some(path) = &self.metrics {
+            collector
+                .write_prometheus(path)
+                .unwrap_or_else(|e| fail(&format!("write metrics {path}: {e}")));
+            fieldswap_obs::info!("wrote metrics {path}");
+        }
+        if let Some(path) = &self.trace_chrome {
+            collector
+                .write_chrome_trace(path)
+                .unwrap_or_else(|e| fail(&format!("write chrome trace {path}: {e}")));
+            fieldswap_obs::info!("wrote chrome trace {path} (load in Perfetto)");
+        }
+        if let Some(path) = &self.flame {
+            collector
+                .write_collapsed(path)
+                .unwrap_or_else(|e| fail(&format!("write flamegraph {path}: {e}")));
+            fieldswap_obs::info!("wrote collapsed stacks {path}");
+        }
+    }
+}
+
+impl BinArgs {
+    /// Parses `std::env::args()`, applying observability side effects
+    /// (tracing/metrics enablement, verbosity). Errors abort with a
+    /// usage message.
+    pub fn parse() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let out = Self::try_parse_from(&args).unwrap_or_else(|msg| usage(&msg));
+        out.obs.apply();
         out
     }
 
     /// The pure parser behind [`parse`](Self::parse): no process exit,
     /// no global side effects — testable.
     pub fn try_parse_from(args: &[String]) -> Result<Self, String> {
+        let mut flags = Flags::new(args.to_vec());
+        let domain = flags
+            .value("--domain")?
+            .map(|name| parse_domain(&name).ok_or_else(|| format!("bad domain {name:?}")))
+            .transpose()?;
         let mut out = Self {
             full: false,
-            domain: None,
-            seed: 0x5EED,
-            json: None,
-            samples: None,
-            trials: None,
-            test_cap: None,
-            jobs: None,
-            train_jobs: None,
-            trace: None,
-            trace_chrome: None,
-            flame: None,
-            metrics: None,
-            metrics_flush_secs: None,
-            obs_listen: None,
-            checkpoint_dir: None,
-            resume: None,
-            attacks: None,
-            attack_strength: None,
+            domain,
+            seed: flags.num("--seed")?.unwrap_or(0x5EED),
+            json: flags.value("--json")?,
+            samples: flags.num("--samples")?,
+            trials: flags.num("--trials")?,
+            test_cap: flags.num("--testcap")?,
+            jobs: flags.num("--jobs")?,
+            train_jobs: flags.num("--train-jobs")?,
+            checkpoint_dir: flags.value("--checkpoint-dir")?,
+            resume: flags.value("--resume")?,
+            attacks: flags.value("--attacks")?,
+            attack_strength: flags.num("--attack-strength")?,
             quantized: false,
-            verbosity: None,
+            obs: ObsArgs::read(&mut flags, &OBS_FLAGS)?,
         };
-        fn num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
-            v.parse().map_err(|_| format!("{flag}: bad value {v:?}"))
+        if let Some(s) = out.attack_strength.filter(|s| !(0.0..=1.0).contains(s)) {
+            return Err(format!("--attack-strength: {s} outside [0, 1]"));
         }
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => out.full = true,
-                "--quick" => out.full = false,
-                "--domain" => {
-                    let name = take_value(args, &mut i, "--domain")?;
-                    out.domain =
-                        Some(parse_domain(name).ok_or_else(|| format!("bad domain {name:?}"))?);
-                }
-                "--seed" => out.seed = num(take_value(args, &mut i, "--seed")?, "--seed")?,
-                "--json" => out.json = Some(take_value(args, &mut i, "--json")?.to_string()),
-                "--samples" => {
-                    out.samples = Some(num(take_value(args, &mut i, "--samples")?, "--samples")?)
-                }
-                "--trials" => {
-                    out.trials = Some(num(take_value(args, &mut i, "--trials")?, "--trials")?)
-                }
-                "--testcap" => {
-                    out.test_cap = Some(num(take_value(args, &mut i, "--testcap")?, "--testcap")?)
-                }
-                "--jobs" => out.jobs = Some(num(take_value(args, &mut i, "--jobs")?, "--jobs")?),
-                "--train-jobs" => {
-                    out.train_jobs = Some(num(
-                        take_value(args, &mut i, "--train-jobs")?,
-                        "--train-jobs",
-                    )?)
-                }
-                "--trace" => out.trace = Some(take_value(args, &mut i, "--trace")?.to_string()),
-                "--trace-chrome" => {
-                    out.trace_chrome = Some(take_value(args, &mut i, "--trace-chrome")?.to_string())
-                }
-                "--flame" => out.flame = Some(take_value(args, &mut i, "--flame")?.to_string()),
-                "--metrics" => {
-                    out.metrics = Some(take_value(args, &mut i, "--metrics")?.to_string())
-                }
-                "--metrics-flush-secs" => {
-                    out.metrics_flush_secs = Some(num(
-                        take_value(args, &mut i, "--metrics-flush-secs")?,
-                        "--metrics-flush-secs",
-                    )?)
-                }
-                "--obs-listen" => {
-                    out.obs_listen = Some(take_value(args, &mut i, "--obs-listen")?.to_string())
-                }
-                "--checkpoint-dir" => {
-                    out.checkpoint_dir =
-                        Some(take_value(args, &mut i, "--checkpoint-dir")?.to_string())
-                }
-                "--resume" => out.resume = Some(take_value(args, &mut i, "--resume")?.to_string()),
-                "--attacks" => {
-                    out.attacks = Some(take_value(args, &mut i, "--attacks")?.to_string())
-                }
-                "--attack-strength" => {
-                    let s: f64 = num(
-                        take_value(args, &mut i, "--attack-strength")?,
-                        "--attack-strength",
-                    )?;
-                    if !(0.0..=1.0).contains(&s) {
-                        return Err(format!("--attack-strength: {s} outside [0, 1]"));
-                    }
-                    out.attack_strength = Some(s);
-                }
-                "--quantized" => out.quantized = true,
-                "--verbose" | "-v" => out.verbosity = Some(fieldswap_obs::Verbosity::Verbose),
-                "--quiet" | "-q" => out.verbosity = Some(fieldswap_obs::Verbosity::Quiet),
-                other => return Err(format!("unknown flag {other}")),
-            }
-            i += 1;
+        out.full = flags.switch(&["--full"])?;
+        if flags.switch(&["--quick"])? && out.full {
+            return Err("--full and --quick are mutually exclusive".into());
         }
-        if out.metrics_flush_secs.is_some() && out.metrics.is_none() {
-            return Err(
-                "--metrics-flush-secs needs --metrics PATH (it controls how often that file is \
-                 rewritten)"
-                    .to_string(),
-            );
-        }
+        out.quantized = flags.switch(&["--quantized"])?;
+        flags.finish()?;
         if out.checkpoint_dir.is_some() && out.resume.is_some() {
             return Err(
                 "--checkpoint-dir and --resume are mutually exclusive (--resume already writes \
@@ -368,46 +382,10 @@ impl BinArgs {
         }
     }
 
-    /// Flushes observability outputs: the JSONL trace plus a span-tree
-    /// summary on stderr (`--trace`), the Chrome trace-event export
-    /// (`--trace-chrome`), the collapsed-stack flamegraph (`--flame`),
-    /// and the Prometheus metrics dump (`--metrics`). Call once at the
-    /// end of `main`; a no-op when no obs flag was given.
+    /// Flushes the observability outputs ([`ObsArgs::finish`]). Call
+    /// once at the end of `main`.
     pub fn finish(&self) {
-        finish_obs(self.trace.as_deref(), self.metrics.as_deref());
-        let collector = fieldswap_obs::global();
-        if let Some(path) = &self.trace_chrome {
-            collector
-                .write_chrome_trace(path)
-                .unwrap_or_else(|e| fail(&format!("write chrome trace {path}: {e}")));
-            fieldswap_obs::info!("wrote chrome trace {path} (load in Perfetto)");
-        }
-        if let Some(path) = &self.flame {
-            collector
-                .write_collapsed(path)
-                .unwrap_or_else(|e| fail(&format!("write flamegraph {path}: {e}")));
-            fieldswap_obs::info!("wrote collapsed stacks {path}");
-        }
-    }
-}
-
-/// Writes the JSONL trace + span-tree summary and/or the Prometheus
-/// metrics dump. Shared by [`BinArgs::finish`] and the binaries that
-/// parse their own flags.
-pub fn finish_obs(trace: Option<&str>, metrics: Option<&str>) {
-    if let Some(path) = trace {
-        let collector = fieldswap_obs::global();
-        collector
-            .write_jsonl(path)
-            .unwrap_or_else(|e| fail(&format!("write trace {path}: {e}")));
-        eprint!("{}", collector.span_summary());
-        fieldswap_obs::info!("wrote trace {path} ({} events)", collector.events_len());
-    }
-    if let Some(path) = metrics {
-        fieldswap_obs::global()
-            .write_prometheus(path)
-            .unwrap_or_else(|e| fail(&format!("write metrics {path}: {e}")));
-        fieldswap_obs::info!("wrote metrics {path}");
+        self.obs.finish();
     }
 }
 
@@ -548,7 +526,7 @@ mod tests {
         assert_eq!(a.train_jobs, Some(4));
         assert_eq!(a.json.as_deref(), Some("out.json"));
         assert_eq!(a.checkpoint_dir.as_deref(), Some("ckpt"));
-        assert_eq!(a.verbosity, Some(fieldswap_obs::Verbosity::Verbose));
+        assert_eq!(a.obs.verbosity, Some(fieldswap_obs::Verbosity::Verbose));
         assert_eq!(a.harness_options().seed, 7);
         assert_eq!(a.harness_options().jobs, 2);
         assert_eq!(a.harness_options().train_jobs, 4);
@@ -638,10 +616,10 @@ mod tests {
             "127.0.0.1:9464",
         ]))
         .unwrap();
-        assert_eq!(a.trace_chrome.as_deref(), Some("t.json"));
-        assert_eq!(a.flame.as_deref(), Some("t.folded"));
-        assert_eq!(a.metrics_flush_secs, Some(5));
-        assert_eq!(a.obs_listen.as_deref(), Some("127.0.0.1:9464"));
+        assert_eq!(a.obs.trace_chrome.as_deref(), Some("t.json"));
+        assert_eq!(a.obs.flame.as_deref(), Some("t.folded"));
+        assert_eq!(a.obs.metrics_flush_secs, Some(5));
+        assert_eq!(a.obs.obs_listen.as_deref(), Some("127.0.0.1:9464"));
 
         for flag in [
             "--trace-chrome",
@@ -679,6 +657,21 @@ mod tests {
         assert!(BinArgs::try_parse_from(&argv(&["--domain", "narnia"])).is_err());
         let err = BinArgs::try_parse_from(&argv(&["--frobnicate"])).unwrap_err();
         assert!(err.contains("--frobnicate"), "{err}");
+    }
+
+    #[test]
+    fn repeated_and_contradictory_flags_are_errors() {
+        let err = BinArgs::try_parse_from(&argv(&["--seed", "1", "--seed", "2"])).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
+        let err = BinArgs::try_parse_from(&argv(&["--quantized", "--quantized"])).unwrap_err();
+        assert!(err.contains("--quantized"), "{err}");
+        assert!(BinArgs::try_parse_from(&argv(&["--full", "--quick"])).is_err());
+        assert!(BinArgs::try_parse_from(&argv(&["-v", "-q"])).is_err());
+        // A value flag takes a single-dash token, even one spelled like
+        // a switch.
+        let a = BinArgs::try_parse_from(&argv(&["--json", "-v"])).unwrap();
+        assert_eq!(a.json.as_deref(), Some("-v"));
+        assert_eq!(a.obs.verbosity, None);
     }
 
     #[test]

@@ -51,6 +51,7 @@
 //! never cleared), matching the one-shot lifecycle of the bench bins.
 //! Tests that need isolation instantiate their own [`Collector`].
 
+pub mod cli;
 pub mod export;
 pub mod logger;
 pub mod metrics;

@@ -34,7 +34,7 @@
 //! work index — a few dozen lines that cover everything the grid needs.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -198,6 +198,8 @@ struct PoolState {
     task: Option<Task>,
     /// Workers still running the current generation.
     remaining: usize,
+    /// The first panic payload a worker caught in this generation.
+    panic: Option<Box<dyn std::any::Any + Send>>,
     /// Set once, on drop: workers exit their loop.
     shutdown: bool,
 }
@@ -250,6 +252,7 @@ impl WorkerPool {
                 generation: 0,
                 task: None,
                 remaining: 0,
+                panic: None,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
@@ -327,6 +330,11 @@ impl WorkerPool {
     /// The broadcast protocol: publish one borrowed closure to the
     /// workers, participate as worker 0, and block until every worker
     /// has finished the generation.
+    ///
+    /// A panic in any participant, the caller included, is caught so the
+    /// generation always completes (workers never outlive the borrow of
+    /// `run`, and the pool stays usable); the first payload is then
+    /// re-raised on the caller's thread.
     fn broadcast(&self, shared: &Arc<PoolShared>, run: &(dyn Fn(usize) + Sync)) {
         // Publish the task. The borrow's lifetime is erased so the
         // 'static workers can hold it; we block below until every worker
@@ -346,12 +354,17 @@ impl WorkerPool {
             shared.work_ready.notify_all();
         }
         // The caller's thread is worker 0.
-        run(0);
+        let caller = catch_unwind(AssertUnwindSafe(|| run(0)));
         let mut state = shared.state.lock().expect("pool poisoned");
         while state.remaining > 0 {
             state = shared.work_done.wait(state).expect("pool poisoned");
         }
         state.task = None;
+        let worker = state.panic.take();
+        drop(state);
+        if let Some(payload) = caller.err().or(worker) {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -374,8 +387,11 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
         // SAFETY: `fill_slots` does not return (and thus the closure's
         // stack frame stays alive) until `remaining` drops to zero,
         // which only happens after this call completes.
-        unsafe { (*task.0)(worker) };
+        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*task.0)(worker) }));
         let mut state = shared.state.lock().expect("pool poisoned");
+        if let Err(payload) = result {
+            state.panic.get_or_insert(payload);
+        }
         state.remaining -= 1;
         if state.remaining == 0 {
             shared.work_done.notify_all();
@@ -693,6 +709,81 @@ mod tests {
                 assert_eq!(*s.lock().unwrap(), vec![i * 10, i * 10 + 1, i * 10 + 2]);
             }
         }
+    }
+
+    #[test]
+    fn worker_pool_panic_reaches_the_caller_and_the_pool_survives() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let _serial = pool_panic_lock();
+        // Runs on its own thread so a hang fails the test instead of
+        // stalling the whole run.
+        let (tx, rx) = mpsc::channel();
+        let probe = std::thread::spawn(move || {
+            let pool = WorkerPool::new(2);
+            let fresh = || (0..64).map(|_| Mutex::new(None)).collect::<Vec<_>>();
+
+            // A panic on the pool thread: the caller holds its first item
+            // until worker 1 has claimed one, so worker 1 surely runs.
+            let worker1_ran = AtomicBool::new(false);
+            let slots = fresh();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.fill_slots(&slots, |worker, item| {
+                    if worker == 1 {
+                        worker1_ran.store(true, Ordering::Relaxed);
+                        panic!("worker 1 failed on item {item}");
+                    }
+                    while !worker1_ran.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
+                    item
+                })
+            }));
+            let worker_payload = payload_text(caught.unwrap_err());
+
+            // A panic on the caller: the pool thread still finishes every
+            // other item before the payload reaches the caller. Worker 1
+            // holds its items until the caller has claimed one.
+            let caller_ran = AtomicBool::new(false);
+            let slots = fresh();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.fill_slots(&slots, |worker, item| {
+                    if worker == 0 {
+                        caller_ran.store(true, Ordering::Relaxed);
+                        panic!("caller failed");
+                    }
+                    while !caller_ran.load(Ordering::Relaxed) {
+                        std::thread::yield_now();
+                    }
+                    item
+                })
+            }));
+            let caller_payload = payload_text(caught.unwrap_err());
+            // The caller's slot is poisoned: it panicked holding the lock.
+            let done = slots
+                .iter()
+                .filter(|s| s.lock().is_ok_and(|s| s.is_some()))
+                .count();
+
+            let slots = fresh();
+            pool.fill_slots(&slots, |_, item| item * 2);
+            let filled: Vec<usize> = slots.iter().map(|s| s.lock().unwrap().unwrap()).collect();
+            tx.send((worker_payload, caller_payload, done, filled))
+                .unwrap();
+        });
+        let (worker_payload, caller_payload, done, filled) = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("WorkerPool hung on a panicking item");
+        probe.join().expect("probe thread");
+        assert!(
+            worker_payload.starts_with("worker 1 failed"),
+            "{worker_payload}"
+        );
+        assert_eq!(caller_payload, "caller failed");
+        assert_eq!(done, 63, "every item but the caller's one finished");
+        assert_eq!(filled, (0..64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use fieldswap_datagen::{generate, Domain};
 use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
+use fieldswap_obs::cli::Flags;
 use fieldswap_serve::{
     backoff_ms, domain_key, FaultPlan, ModelEntry, RegistrySnapshot, ServeConfig, ServeHandle,
 };
@@ -53,65 +54,34 @@ struct Args {
     chaos: Option<FaultPlan>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        requests: 400,
-        concurrency: 4,
-        docs_per_request: 1,
-        workers: 0,
-        train_docs: 15,
-        seed: 7,
-        json: None,
-        max_inflight: 0,
-        default_deadline_ms: 0,
-        timeout_ms: None,
-        chaos: None,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let value = |i: usize| -> Result<&str, String> {
-            argv.get(i + 1)
-                .map(|s| s.as_str())
-                .filter(|v| !v.starts_with("--"))
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag {
-            "--requests" => args.requests = num(flag, value(i)?)?,
-            "--concurrency" => args.concurrency = num(flag, value(i)?)?,
-            "--docs-per-request" => args.docs_per_request = num(flag, value(i)?)?,
-            "--workers" => args.workers = num(flag, value(i)?)?,
-            "--train-docs" => args.train_docs = num(flag, value(i)?)?,
-            "--seed" => args.seed = num(flag, value(i)?)?,
-            "--json" => args.json = Some(value(i)?.to_string()),
-            "--max-inflight" => args.max_inflight = num(flag, value(i)?)?,
-            "--default-deadline-ms" => args.default_deadline_ms = num(flag, value(i)?)?,
-            "--timeout-ms" => args.timeout_ms = Some(num(flag, value(i)?)?),
-            "--chaos" => args.chaos = Some(FaultPlan::parse(value(i)?)?),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-        i += 2;
-    }
-    if args.requests == 0 || args.concurrency == 0 || args.docs_per_request == 0 {
-        return Err("requests, concurrency, and docs-per-request must be positive".into());
-    }
-    Ok(args)
-}
-
-fn num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-    v.parse()
-        .map_err(|_| format!("flag {flag}: bad value {v:?}"))
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
+    let args = Flags::from_env()
+        .read(|f| {
+            let args = Args {
+                requests: f.num("--requests")?.unwrap_or(400),
+                concurrency: f.num("--concurrency")?.unwrap_or(4),
+                docs_per_request: f.num("--docs-per-request")?.unwrap_or(1),
+                workers: f.num("--workers")?.unwrap_or(0),
+                train_docs: f.num("--train-docs")?.unwrap_or(15),
+                seed: f.num("--seed")?.unwrap_or(7),
+                json: f.value("--json")?,
+                max_inflight: f.num("--max-inflight")?.unwrap_or(0),
+                default_deadline_ms: f.num("--default-deadline-ms")?.unwrap_or(0),
+                timeout_ms: f.num("--timeout-ms")?,
+                chaos: f
+                    .value("--chaos")?
+                    .map(|spec| FaultPlan::parse(&spec))
+                    .transpose()?,
+            };
+            if args.requests == 0 || args.concurrency == 0 || args.docs_per_request == 0 {
+                return Err("requests, concurrency, and docs-per-request must be positive".into());
+            }
+            Ok(args)
+        })
+        .unwrap_or_else(|e| {
             eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+            std::process::exit(2)
+        });
     if let Err(e) = run(&args) {
         eprintln!("error: {e}");
         std::process::exit(1);

@@ -17,6 +17,7 @@
 
 use fieldswap_datagen::generate;
 use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
+use fieldswap_obs::cli::Flags;
 use fieldswap_serve::{domain_key, parse_domain, FaultPlan, ServeConfig, ServeHandle};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -54,106 +55,30 @@ fn usage() -> String {
         .into()
 }
 
-/// Pulls `--flag value` pairs and bare `--switch`es out of `args`.
-struct Flags<'a> {
-    args: &'a [String],
-    used: Vec<bool>,
-}
-
-impl<'a> Flags<'a> {
-    fn new(args: &'a [String]) -> Self {
-        Self {
-            args,
-            used: vec![false; args.len()],
-        }
-    }
-
-    fn value(&mut self, name: &str) -> Result<Option<&'a str>, String> {
-        for i in 0..self.args.len() {
-            if self.args[i] == name {
-                let v = self
-                    .args
-                    .get(i + 1)
-                    .filter(|v| !v.starts_with("--"))
-                    .ok_or_else(|| format!("flag {name} needs a value"))?;
-                self.used[i] = true;
-                self.used[i + 1] = true;
-                return Ok(Some(v));
-            }
-        }
-        Ok(None)
-    }
-
-    fn switch(&mut self, name: &str) -> bool {
-        for i in 0..self.args.len() {
-            if self.args[i] == name {
-                self.used[i] = true;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn finish(self) -> Result<(), String> {
-        for (i, used) in self.used.iter().enumerate() {
-            if !used {
-                return Err(format!("unrecognized argument {:?}", self.args[i]));
-            }
-        }
-        Ok(())
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
-    v.parse()
-        .map_err(|_| format!("flag {name}: bad value {v:?}"))
-}
-
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut flags = Flags::new(args);
-    let models = flags
-        .value("--models")?
-        .ok_or("serve requires --models DIR")?
-        .to_string();
-    let listen = flags
-        .value("--listen")?
-        .unwrap_or("127.0.0.1:8080")
-        .to_string();
-    let workers = match flags.value("--workers")? {
-        Some(v) => parse_num("--workers", v)?,
-        None => 0,
-    };
-    let quantized = flags.switch("--quantized");
-    let max_inflight = match flags.value("--max-inflight")? {
-        Some(v) => parse_num("--max-inflight", v)?,
-        None => 64usize,
-    };
-    let max_docs_per_request = match flags.value("--max-docs-per-request")? {
-        Some(v) => parse_num("--max-docs-per-request", v)?,
-        None => 256usize,
-    };
-    let default_deadline_ms = match flags.value("--default-deadline-ms")? {
-        Some(v) => parse_num("--default-deadline-ms", v)?,
-        None => 0u64,
-    };
-    // Hidden: deterministic fault injection for the chaos harness only.
-    let chaos = match flags.value("--chaos")? {
-        Some(spec) => Some(FaultPlan::parse(spec)?),
-        None => None,
-    };
-    flags.finish()?;
-
-    let handle = ServeHandle::start(ServeConfig {
-        listen,
-        models_dir: Some(PathBuf::from(models)),
-        initial: None,
-        workers,
-        quantized,
-        max_inflight,
-        max_docs_per_request,
-        default_deadline_ms,
-        chaos,
+    let config = Flags::new(args.to_vec()).read(|f| {
+        Ok(ServeConfig {
+            models_dir: Some(PathBuf::from(
+                f.value("--models")?.ok_or("serve requires --models DIR")?,
+            )),
+            listen: f
+                .value("--listen")?
+                .unwrap_or_else(|| "127.0.0.1:8080".into()),
+            initial: None,
+            workers: f.num("--workers")?.unwrap_or(0),
+            max_inflight: f.num("--max-inflight")?.unwrap_or(64),
+            max_docs_per_request: f.num("--max-docs-per-request")?.unwrap_or(256),
+            default_deadline_ms: f.num("--default-deadline-ms")?.unwrap_or(0),
+            // Hidden: deterministic fault injection for the chaos harness only.
+            chaos: f
+                .value("--chaos")?
+                .map(|spec| FaultPlan::parse(&spec))
+                .transpose()?,
+            quantized: f.switch(&["--quantized"])?,
+        })
     })?;
+
+    let handle = ServeHandle::start(config)?;
     println!("listening on {}", handle.addr());
     handle.wait_for_quit();
     // Let the quit response flush before tearing the listener down.
@@ -164,28 +89,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let mut flags = Flags::new(args);
-    let key = flags
-        .value("--domain")?
-        .ok_or("train requires --domain KEY")?
-        .to_string();
-    let models = flags
-        .value("--models")?
-        .ok_or("train requires --models DIR")?
-        .to_string();
-    let seed = match flags.value("--seed")? {
-        Some(v) => parse_num("--seed", v)?,
-        None => 7u64,
-    };
-    let docs = match flags.value("--docs")? {
-        Some(v) => parse_num("--docs", v)?,
-        None => 40usize,
-    };
-    let epochs = match flags.value("--epochs")? {
-        Some(v) => parse_num("--epochs", v)?,
-        None => TrainConfig::tiny().epochs,
-    };
-    flags.finish()?;
+    let (key, models, seed, docs, epochs) = Flags::new(args.to_vec()).read(|f| {
+        Ok((
+            f.value("--domain")?.ok_or("train requires --domain KEY")?,
+            f.value("--models")?.ok_or("train requires --models DIR")?,
+            f.num("--seed")?.unwrap_or(7u64),
+            f.num("--docs")?.unwrap_or(40usize),
+            f.num("--epochs")?.unwrap_or(TrainConfig::tiny().epochs),
+        ))
+    })?;
 
     let domain = parse_domain(&key)
         .ok_or_else(|| format!("unknown domain {key:?} (try: fara, earnings)"))?;
@@ -225,20 +137,13 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sample(args: &[String]) -> Result<(), String> {
-    let mut flags = Flags::new(args);
-    let key = flags
-        .value("--domain")?
-        .ok_or("sample requires --domain KEY")?
-        .to_string();
-    let out = flags
-        .value("--out")?
-        .ok_or("sample requires --out PATH")?
-        .to_string();
-    let seed = match flags.value("--seed")? {
-        Some(v) => parse_num("--seed", v)?,
-        None => 8u64,
-    };
-    flags.finish()?;
+    let (key, out, seed) = Flags::new(args.to_vec()).read(|f| {
+        Ok((
+            f.value("--domain")?.ok_or("sample requires --domain KEY")?,
+            f.value("--out")?.ok_or("sample requires --out PATH")?,
+            f.num("--seed")?.unwrap_or(8u64),
+        ))
+    })?;
 
     let domain = parse_domain(&key).ok_or_else(|| format!("unknown domain {key:?}"))?;
     let doc = generate(domain, seed, 1).documents.remove(0);

@@ -94,7 +94,8 @@ impl Writer {
     fn string(&mut self, s: &str) {
         self.out.push('"');
         for c in s.chars() {
-            let must_escape = matches!(c, '"' | '\\');
+            // JSON has no raw `"`, `\` or control character in a string.
+            let must_escape = matches!(c, '"' | '\\') || c < ' ';
             if !must_escape && self.rng.gen_bool(0.6) {
                 self.out.push(c);
                 continue;
@@ -312,6 +313,10 @@ fn a_single_error_gets_the_same_message_on_both_paths() {
         body(&doc.replace(r#""text""#, r#""te\q""#)),
         body(&doc.replace(r#""y1": 4}}]"#, r#""y1": 4e}}]"#)),
         body(&doc.replace(r#""start": 0"#, r#""start": 1.2.3"#)),
+        body(&doc.replace(r#""start": 0"#, r#""start": 01"#)),
+        body(&doc.replace(r#""y1": 4}}]"#, r#""y1": 4.}}]"#)),
+        body(&doc.replace(r#""text": "a""#, "\"text\": \"a\u{1}\"")),
+        body(&doc.replace(r#""text": "a""#, r#""text": "\u+041""#)),
         body(&doc.replace(r#""end": 1"#, r#""end": tru"#)),
         body(doc).replace(r#""timeout_ms": 5"#, r#""timeout_ms": nul"#),
         body(doc).replace(r#""timeout_ms": 5"#, r#""timeout_ms" 5"#),

@@ -329,6 +329,17 @@ fn malformed_and_oversized_requests_get_4xx_without_killing_the_server() {
     assert_eq!(status, 400);
     let docs = generate(Domain::Fara, 73, 3).documents;
     let doc_json = |d: &Document| serde_json::to_string(&d.to_value()).unwrap();
+    // A number with a leading zero is not JSON, so it is refused as
+    // malformed instead of read as the number.
+    let leading_zero = doc_json(&docs[0]).replacen("\"start\":", "\"start\": 0", 1);
+    assert!(leading_zero.contains("\"start\": 0"), "{leading_zero}");
+    let (status, body) = post(
+        addr,
+        "/v1/extract",
+        &format!("{{\"documents\": [{leading_zero}]}}"),
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.starts_with("malformed JSON: "), "{body}");
     // A line token written as a negative float is out of range, not 0.
     let mut bad_line = docs[0].to_value();
     let Value::Array(lines) = field_mut(&mut bad_line, "lines") else {
