@@ -267,7 +267,7 @@ impl BinArgs {
         let mut flags = Flags::new(args.to_vec());
         let domain = flags
             .value("--domain")?
-            .map(|name| parse_domain(&name).ok_or_else(|| format!("bad domain {name:?}")))
+            .map(|name| Domain::parse(&name).ok_or_else(|| format!("bad domain {name:?}")))
             .transpose()?;
         let mut out = Self {
             full: false,
@@ -396,18 +396,6 @@ impl BinArgs {
 pub fn fail(msg: &str) -> ! {
     fieldswap_obs::error!("{msg}");
     std::process::exit(1)
-}
-
-fn parse_domain(name: &str) -> Option<Domain> {
-    match name.to_lowercase().as_str() {
-        "fara" => Some(Domain::Fara),
-        "fcc" | "fcc_forms" | "fccforms" => Some(Domain::FccForms),
-        "brokerage" => Some(Domain::Brokerage),
-        "earnings" => Some(Domain::Earnings),
-        "loan" | "loan_payments" | "loanpayments" => Some(Domain::LoanPayments),
-        "invoices" => Some(Domain::Invoices),
-        _ => None,
-    }
 }
 
 /// Prints `msg` plus the shared usage line to stderr and exits 1.
@@ -692,10 +680,12 @@ mod tests {
 
     #[test]
     fn parse_domain_aliases() {
-        assert_eq!(parse_domain("earnings"), Some(Domain::Earnings));
-        assert_eq!(parse_domain("LOAN"), Some(Domain::LoanPayments));
-        assert_eq!(parse_domain("fcc_forms"), Some(Domain::FccForms));
-        assert_eq!(parse_domain("nope"), None);
+        let domain =
+            |name: &str| BinArgs::try_parse_from(&argv(&["--domain", name])).map(|a| a.domain);
+        assert_eq!(domain("earnings"), Ok(Some(Domain::Earnings)));
+        assert_eq!(domain("LOAN"), Ok(Some(Domain::LoanPayments)));
+        assert_eq!(domain("fcc_forms"), Ok(Some(Domain::FccForms)));
+        assert!(domain("nope").is_err());
     }
 
     #[test]

@@ -47,6 +47,21 @@ impl Domain {
         Domain::LoanPayments,
     ];
 
+    /// Parses a domain name, case-insensitively: the model keys the
+    /// service files models under (`fcc`, `loans`) and the longer
+    /// spellings (`fcc_forms`, `loan`, `loan_payments`, ...).
+    pub fn parse(name: &str) -> Option<Domain> {
+        match name.to_lowercase().as_str() {
+            "fara" => Some(Domain::Fara),
+            "fcc" | "fcc_forms" | "fccforms" => Some(Domain::FccForms),
+            "brokerage" => Some(Domain::Brokerage),
+            "earnings" => Some(Domain::Earnings),
+            "loan" | "loans" | "loan_payments" | "loanpayments" => Some(Domain::LoanPayments),
+            "invoices" => Some(Domain::Invoices),
+            _ => None,
+        }
+    }
+
     /// Human-readable name matching the paper's tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -320,6 +335,30 @@ fn domain_key(domain: Domain) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_accepts_every_spelling() {
+        let spellings = [
+            ("fara", Domain::Fara),
+            ("fcc", Domain::FccForms),
+            ("fcc_forms", Domain::FccForms),
+            ("fccforms", Domain::FccForms),
+            ("brokerage", Domain::Brokerage),
+            ("earnings", Domain::Earnings),
+            ("loan", Domain::LoanPayments),
+            ("loans", Domain::LoanPayments),
+            ("loan_payments", Domain::LoanPayments),
+            ("loanpayments", Domain::LoanPayments),
+            ("invoices", Domain::Invoices),
+        ];
+        for (name, domain) in spellings {
+            assert_eq!(Domain::parse(name), Some(domain), "{name}");
+            assert_eq!(Domain::parse(&name.to_uppercase()), Some(domain), "{name}");
+        }
+        assert_eq!(Domain::parse("Fcc_Forms"), Some(Domain::FccForms));
+        assert_eq!(Domain::parse("nope"), None);
+        assert_eq!(Domain::parse(""), None);
+    }
 
     #[test]
     fn mix_spreads_bits() {

@@ -62,8 +62,9 @@ pub struct SlotPanic {
     pub payload: String,
 }
 
-/// Renders a `catch_unwind` payload as text.
-fn payload_text(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a `catch_unwind` payload as text: `&str` and `String`
+/// payloads verbatim, anything else a placeholder.
+pub fn payload_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -508,17 +509,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> Default for OnceMap<K, V> {
 mod tests {
     use super::*;
 
-    /// Serializes the tests that panic through the pool: each bumps the
-    /// process-global `fieldswap_grid_cells_{retried,failed}` counters
-    /// (once metrics are on), which the counter test diffs. Held for the
-    /// whole test; poisoning is ignored because a failed holder has
-    /// already reported its own failure.
-    static POOL_PANIC_LOCK: Mutex<()> = Mutex::new(());
-
-    fn pool_panic_lock() -> std::sync::MutexGuard<'static, ()> {
-        POOL_PANIC_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn par_map_matches_serial_output() {
         let serial: Vec<u64> = (0..57).map(|i| (i as u64).wrapping_mul(0x9E37)).collect();
@@ -542,7 +532,6 @@ mod tests {
 
     #[test]
     fn try_map_isolates_persistent_panic() {
-        let _serial = pool_panic_lock();
         for jobs in [1, 4] {
             let out = par_try_map_indexed(6, jobs, |i| {
                 if i == 3 {
@@ -565,7 +554,6 @@ mod tests {
 
     #[test]
     fn try_map_retries_transient_panic_once() {
-        let _serial = pool_panic_lock();
         // The slot panics only on its first attempt; the retry succeeds
         // and the caller sees a clean result.
         let attempts = AtomicUsize::new(0);
@@ -584,29 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn try_map_reports_retry_and_failure_counters() {
-        let _serial = pool_panic_lock();
-        fieldswap_obs::enable_metrics();
-        let reg = fieldswap_obs::global().registry();
-        let retried0 = reg.counter_value("fieldswap_grid_cells_retried");
-        let failed0 = reg.counter_value("fieldswap_grid_cells_failed");
-        let out = par_try_map_indexed(2, 1, |i| {
-            if i == 0 {
-                panic!("always");
-            }
-            i
-        });
-        assert!(out[0].is_err());
-        assert_eq!(out[1], Ok(1));
-        let retried1 = reg.counter_value("fieldswap_grid_cells_retried");
-        let failed1 = reg.counter_value("fieldswap_grid_cells_failed");
-        assert_eq!(retried1, retried0 + 1, "one first-attempt panic");
-        assert_eq!(failed1, failed0 + 1, "one double failure");
-    }
-
-    #[test]
     fn infallible_map_repanics_with_payload() {
-        let _serial = pool_panic_lock();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             par_map_indexed(2, 1, |i| {
                 if i == 1 {
@@ -717,7 +683,6 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
 
-        let _serial = pool_panic_lock();
         // Runs on its own thread so a hang fails the test instead of
         // stalling the whole run.
         let (tx, rx) = mpsc::channel();

@@ -2,11 +2,13 @@
 //!
 //! A [`FaultPlan`] is a seeded, declarative description of the faults to
 //! inject — extra inference latency, forced worker panics on specific
-//! global document indices, corrupt model directories on `/reload`, and
-//! (interpreted client-side by `serve_bench --chaos`) stalled request
-//! writers. The plan is parsed from the hidden `--chaos SPEC` flag and
-//! is **off by default**: a server built without a plan runs the exact
-//! clean-path code, so chaos can never perturb production behavior.
+//! global document indices, and corrupt model directories on `/reload`.
+//! The plan is parsed from the hidden `fieldswap-serve serve --chaos
+//! SPEC` flag and is **off by default**: a server built without a plan
+//! runs the exact clean-path code, so chaos can never perturb production
+//! behavior. The chaos soak (`tests/chaos_soak.rs`) drives a planned
+//! server through a storm, with stalled writers holding half-written
+//! requests open, and asserts the availability invariants.
 //!
 //! Determinism contract: every server-side decision is a pure function
 //! of the plan and a global document counter ([`Chaos::on_infer`]
@@ -26,8 +28,6 @@
 //! panic-every=K       force a worker panic on every K-th doc (doc K-1, 2K-1, …)
 //! window-docs=N       faults apply only to the first N docs (0 = no limit)
 //! corrupt-reloads=K   the next K /reload attempts see a corrupt model dir
-//! stall-clients=N     serve_bench only: N clients that stall mid-request
-//! stall-ms=M          serve_bench only: how long a stalled client holds on
 //! ```
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -50,11 +50,6 @@ pub struct FaultPlan {
     pub window_docs: u64,
     /// How many upcoming `/reload` attempts see a corrupt directory.
     pub corrupt_reloads: u32,
-    /// `serve_bench --chaos` only: concurrent stalled-writer clients.
-    pub stall_clients: usize,
-    /// `serve_bench --chaos` only: how long each stalled client holds
-    /// its half-written request before dropping the connection.
-    pub stall_ms: u64,
 }
 
 impl FaultPlan {
@@ -81,36 +76,11 @@ impl FaultPlan {
                 "panic-every" => plan.panic_every = num("panic-every")?,
                 "window-docs" => plan.window_docs = num("window-docs")?,
                 "corrupt-reloads" => plan.corrupt_reloads = num("corrupt-reloads")? as u32,
-                "stall-clients" => plan.stall_clients = num("stall-clients")? as usize,
-                "stall-ms" => plan.stall_ms = num("stall-ms")?,
                 other => return Err(format!("unknown chaos key {other:?}")),
             }
         }
         plan.panic_docs.sort_unstable();
         Ok(plan)
-    }
-
-    /// Whether the plan injects any server-side fault (as opposed to
-    /// purely client-side stalls).
-    pub fn has_server_faults(&self) -> bool {
-        self.delay_ms > 0
-            || !self.panic_docs.is_empty()
-            || self.panic_every > 0
-            || self.corrupt_reloads > 0
-    }
-
-    /// How many forced panics this plan injects over the first `docs`
-    /// inferred documents (used by the chaos harness to bound the
-    /// acceptable error rate).
-    pub fn panics_within(&self, docs: u64) -> u64 {
-        let horizon = if self.window_docs > 0 {
-            self.window_docs.min(docs)
-        } else {
-            docs
-        };
-        let listed = self.panic_docs.iter().filter(|&&d| d < horizon).count() as u64;
-        let periodic = horizon.checked_div(self.panic_every).unwrap_or(0);
-        listed + periodic
     }
 }
 
@@ -218,7 +188,7 @@ mod tests {
     fn parses_full_spec() {
         let plan = FaultPlan::parse(
             "seed=42,delay-ms=5,panic-doc=7,panic-doc=3,panic-every=10,\
-             window-docs=100,corrupt-reloads=2,stall-clients=3,stall-ms=250",
+             window-docs=100,corrupt-reloads=2",
         )
         .unwrap();
         assert_eq!(plan.seed, 42);
@@ -227,19 +197,11 @@ mod tests {
         assert_eq!(plan.panic_every, 10);
         assert_eq!(plan.window_docs, 100);
         assert_eq!(plan.corrupt_reloads, 2);
-        assert_eq!(plan.stall_clients, 3);
-        assert_eq!(plan.stall_ms, 250);
-        assert!(plan.has_server_faults());
     }
 
     #[test]
     fn empty_spec_is_all_off() {
-        let plan = FaultPlan::parse("").unwrap();
-        assert_eq!(plan, FaultPlan::default());
-        assert!(!plan.has_server_faults());
-        // Stall-only plans are client-side.
-        let plan = FaultPlan::parse("stall-clients=2,stall-ms=100").unwrap();
-        assert!(!plan.has_server_faults());
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
     }
 
     #[test]
@@ -247,6 +209,10 @@ mod tests {
         assert!(FaultPlan::parse("delay-ms").is_err());
         assert!(FaultPlan::parse("delay-ms=abc").is_err());
         assert!(FaultPlan::parse("bogus-key=1").is_err());
+        // Stalled clients are a load condition of the chaos soak, not a
+        // server fault.
+        assert!(FaultPlan::parse("stall-clients=1").is_err());
+        assert!(FaultPlan::parse("stall-ms=100").is_err());
     }
 
     #[test]
@@ -265,8 +231,6 @@ mod tests {
         assert_eq!(panicked, vec![1, 3, 7]);
         assert_eq!(chaos.docs_seen(), 12);
         assert!(chaos.window_over());
-        assert_eq!(chaos.plan().panics_within(12), 3);
-        assert_eq!(chaos.plan().panics_within(2), 1);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::chaos::Chaos;
 use fieldswap_docmodel::{Document, EntitySpan};
 use fieldswap_extract::{FrozenModel, InferScratch};
-use fieldswap_parallel::{effective_jobs, WorkerPool};
+use fieldswap_parallel::{effective_jobs, payload_text, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -46,17 +46,6 @@ pub struct Executor {
     scratches: Vec<Mutex<InferScratch>>,
     rr: AtomicUsize,
     chaos: Option<Arc<Chaos>>,
-}
-
-/// Renders a `catch_unwind` payload as text.
-fn payload_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 impl Executor {

@@ -22,12 +22,14 @@
 //!   `/reload` circuit breaker. A `/v1/extract` body is decoded in one
 //!   pass, straight from JSON text into an [`ExtractRequest`].
 //! * [`chaos`] — deterministic fault injection (seeded [`FaultPlan`])
-//!   behind the hidden `--chaos` flag, driving the chaos soak test and
-//!   `serve_bench --chaos`.
+//!   behind the hidden `serve --chaos` flag, driven by the chaos soak
+//!   test (`tests/chaos_soak.rs`).
 //!
 //! The `fieldswap-serve` binary wraps this into `serve` / `train` /
-//! `sample` subcommands; `serve_bench` hammers a live server over real
-//! sockets and writes `BENCH_serve.json`.
+//! `sample` subcommands (`--domain` is read by
+//! [`Domain::parse`](fieldswap_datagen::Domain::parse)); `serve_bench`
+//! hammers a live server over real sockets and writes
+//! `BENCH_serve.json`.
 
 pub mod chaos;
 pub mod executor;
@@ -54,11 +56,6 @@ pub fn domain_key(domain: Domain) -> &'static str {
     }
 }
 
-/// Parses a [`domain_key`] back to its domain.
-pub fn parse_domain(key: &str) -> Option<Domain> {
-    Domain::ALL.into_iter().find(|d| domain_key(*d) == key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,8 +63,8 @@ mod tests {
     #[test]
     fn domain_keys_round_trip() {
         for d in Domain::ALL {
-            assert_eq!(parse_domain(domain_key(d)), Some(d));
+            assert_eq!(Domain::parse(domain_key(d)), Some(d));
         }
-        assert_eq!(parse_domain("nope"), None);
+        assert_eq!(Domain::parse("nope"), None);
     }
 }

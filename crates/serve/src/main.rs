@@ -11,14 +11,16 @@
 //!   deterministic fault injection for the chaos harness.
 //! * `train --domain KEY --models DIR [--seed S] [--docs N] [--epochs E]`
 //!   — train a small model on generated documents for one domain and
-//!   write `KEY.fsm` + `KEY.fields.json` into DIR.
+//!   write `KEY.fsm` + `KEY.fields.json` into DIR. `--domain` takes any
+//!   spelling `Domain::parse` accepts; the files are named by
+//!   `domain_key`, so `--domain loan` writes `loans.fsm`.
 //! * `sample --domain KEY --out PATH [--seed S]` — write a ready-to-POST
 //!   `/v1/extract` request body containing one generated document.
 
-use fieldswap_datagen::generate;
+use fieldswap_datagen::{generate, Domain};
 use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
 use fieldswap_obs::cli::Flags;
-use fieldswap_serve::{domain_key, parse_domain, FaultPlan, ServeConfig, ServeHandle};
+use fieldswap_serve::{domain_key, FaultPlan, ServeConfig, ServeHandle};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -99,7 +101,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         ))
     })?;
 
-    let domain = parse_domain(&key)
+    let domain = Domain::parse(&key)
         .ok_or_else(|| format!("unknown domain {key:?} (try: fara, earnings)"))?;
     let corpus = generate(domain, seed, docs);
     let lex = Lexicon::pretrain(&corpus.documents);
@@ -145,7 +147,7 @@ fn cmd_sample(args: &[String]) -> Result<(), String> {
         ))
     })?;
 
-    let domain = parse_domain(&key).ok_or_else(|| format!("unknown domain {key:?}"))?;
+    let domain = Domain::parse(&key).ok_or_else(|| format!("unknown domain {key:?}"))?;
     let doc = generate(domain, seed, 1).documents.remove(0);
     let body = serde::Value::Object(vec![(
         "documents".into(),

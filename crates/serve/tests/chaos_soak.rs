@@ -1,10 +1,13 @@
 //! The chaos soak: one long scenario driving the server through
 //! injected worker panics, inference latency, and corrupt reloads, over
-//! real TCP sockets, asserting the availability invariants end to end:
+//! real TCP sockets, while stalled writers hold half-written
+//! `/v1/extract` requests open through the whole storm. It asserts the
+//! availability invariants end to end:
 //!
 //! * every request gets an orderly HTTP answer (200/500/503) — no
 //!   connection thread ever dies;
-//! * `/healthz` stays live through the whole storm;
+//! * `/healthz` answers 200 within 250 ms on every probe through the
+//!   whole storm;
 //! * repeated corrupt reloads trip the circuit breaker (fast `503` +
 //!   `Retry-After`), which half-opens after its cool-down and recovers;
 //! * observed `500`s never exceed the injected panic count, and the
@@ -24,6 +27,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const CHAOS_SPEC: &str = "seed=7,delay-ms=2,panic-every=5,window-docs=60,corrupt-reloads=3";
+
+/// Clients that hold a half-written request open through the storm.
+const STALLED_WRITERS: usize = 2;
+
+/// How long a stalled writer holds one half-written request before it
+/// opens the next: well inside the server's 5 s read timeout, so every
+/// stalled request is still open when the writer drops it.
+const STALL_HOLD: Duration = Duration::from_millis(500);
 
 fn train_frozen(domain: Domain, seed: u64, docs: usize) -> FrozenModel {
     let corpus = generate(domain, seed, docs);
@@ -73,6 +84,23 @@ fn extract_body(docs: &[Document]) -> String {
     serde_json::to_string(&Value::Object(fields)).unwrap()
 }
 
+/// Writes half a `POST /v1/extract` request head and holds the
+/// connection open, opening the next one every [`STALL_HOLD`], until
+/// `stop`. `opened` counts the stalled requests.
+fn stalled_writer(addr: SocketAddr, stop: &AtomicBool, opened: &AtomicUsize) {
+    while !stop.load(Ordering::Relaxed) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"POST /v1/extract HTTP/1.1\r\nHost: st")
+            .unwrap();
+        opened.fetch_add(1, Ordering::Relaxed);
+        let t0 = Instant::now();
+        while !stop.load(Ordering::Relaxed) && t0.elapsed() < STALL_HOLD {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
 /// Reads a counter (full name, labels included) from exposition text.
 fn scrape_counter(metrics: &str, name: &str) -> u64 {
     metrics
@@ -114,12 +142,26 @@ fn chaos_soak_survives_panics_latency_and_corrupt_reloads() {
     let earn_docs = generate(Domain::Earnings, 94, 3).documents;
 
     // --- The storm: hammer through the fault window while probing
-    // liveness. Every response must be an orderly 200/500/503.
+    // liveness, with every stalled writer holding a half-written request
+    // before the first storm request goes out. Every response must be an
+    // orderly 200/500/503.
     let ok = AtomicUsize::new(0);
     let panicked_500 = AtomicUsize::new(0);
     let shed_503 = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
+    let stalled = AtomicUsize::new(0);
     std::thread::scope(|s| {
+        for _ in 0..STALLED_WRITERS {
+            s.spawn(|| stalled_writer(addr, &stop, &stalled));
+        }
+        let t0 = Instant::now();
+        while stalled.load(Ordering::Relaxed) < STALLED_WRITERS {
+            if t0.elapsed() > Duration::from_secs(10) {
+                stop.store(true, Ordering::Relaxed);
+                panic!("stalled writers never connected");
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
         for t in 0..3usize {
             let (ok, panicked_500, shed_503) = (&ok, &panicked_500, &shed_503);
             let (fara_docs, earn_docs) = (&fara_docs, &earn_docs);
