@@ -24,10 +24,9 @@
 //!   in-repo guard test enforces). `--table` additionally writes the
 //!   delta table to a file for artifact upload.
 //! * `serve` fails when a fresh `serve_bench --json` dump's throughput
-//!   or availability dropped, or its p99 latency or shed rate rose, by
-//!   more than `--max-regress` versus the committed `BENCH_serve.json`
-//!   ([`fieldswap_bench::gate::SERVE_GATE`]; v1 baselines without the
-//!   overload metrics still pass per the missing-baseline guard).
+//!   dropped, or its p99 latency rose, by more than `--max-regress`
+//!   versus the committed `BENCH_serve.json`
+//!   ([`fieldswap_bench::gate::SERVE_GATE`]).
 
 use fieldswap_bench::gate;
 use fieldswap_obs::cli::Flags;

@@ -23,8 +23,6 @@
 //!   summary to stderr at exit.
 //! * `--trace-chrome <path>` — also export the trace as Chrome
 //!   trace-event JSON (load in Perfetto; one track per worker thread).
-//! * `--flame <path>` — export the span tree as collapsed stacks
-//!   (flamegraph.pl input format).
 //! * `--metrics <path>` — dump Prometheus-style counters/gauges/
 //!   histograms at exit.
 //! * `--metrics-flush-secs <n>` — additionally rewrite the `--metrics`
@@ -103,10 +101,9 @@ pub struct BinArgs {
 
 /// The observability flags every regeneration binary accepts; the
 /// other binaries take a subset.
-pub const OBS_FLAGS: [&str; 6] = [
+pub const OBS_FLAGS: [&str; 5] = [
     "--trace",
     "--trace-chrome",
-    "--flame",
     "--metrics",
     "--metrics-flush-secs",
     "--obs-listen",
@@ -122,9 +119,6 @@ pub struct ObsArgs {
     /// span recording. Loadable in Perfetto with one track per worker
     /// thread.
     pub trace_chrome: Option<String>,
-    /// Collapsed-stack flamegraph output path (`--flame`); enables span
-    /// recording.
-    pub flame: Option<String>,
     /// Prometheus-style metrics output path (`--metrics`).
     pub metrics: Option<String>,
     /// Seconds between periodic metrics flushes to the `--metrics` path
@@ -149,7 +143,6 @@ impl ObsArgs {
             match name {
                 "--trace" => out.trace = flags.value(name)?,
                 "--trace-chrome" => out.trace_chrome = flags.value(name)?,
-                "--flame" => out.flame = flags.value(name)?,
                 "--metrics" => out.metrics = flags.value(name)?,
                 "--metrics-flush-secs" => out.metrics_flush_secs = flags.num(name)?,
                 "--obs-listen" => out.obs_listen = flags.value(name)?,
@@ -180,7 +173,7 @@ impl ObsArgs {
     /// verbosity, the live `--obs-listen` server and the periodic
     /// metrics flush. Failures exit through [`fail`].
     pub fn apply(&self) {
-        if self.trace.is_some() || self.trace_chrome.is_some() || self.flame.is_some() {
+        if self.trace.is_some() || self.trace_chrome.is_some() {
             fieldswap_obs::enable_tracing();
         }
         if self.metrics.is_some() {
@@ -217,9 +210,9 @@ impl ObsArgs {
 
     /// Flushes observability outputs: the JSONL trace plus a span-tree
     /// summary on stderr (`--trace`), the Chrome trace-event export
-    /// (`--trace-chrome`), the collapsed-stack flamegraph (`--flame`),
-    /// and the Prometheus metrics dump (`--metrics`). Call once at the
-    /// end of `main`; a no-op when no obs flag was given.
+    /// (`--trace-chrome`), and the Prometheus metrics dump (`--metrics`).
+    /// Call once at the end of `main`; a no-op when no obs flag was
+    /// given.
     pub fn finish(&self) {
         let collector = fieldswap_obs::global();
         if let Some(path) = &self.trace {
@@ -240,12 +233,6 @@ impl ObsArgs {
                 .write_chrome_trace(path)
                 .unwrap_or_else(|e| fail(&format!("write chrome trace {path}: {e}")));
             fieldswap_obs::info!("wrote chrome trace {path} (load in Perfetto)");
-        }
-        if let Some(path) = &self.flame {
-            collector
-                .write_collapsed(path)
-                .unwrap_or_else(|e| fail(&format!("write flamegraph {path}: {e}")));
-            fieldswap_obs::info!("wrote collapsed stacks {path}");
         }
     }
 }
@@ -401,7 +388,7 @@ pub fn fail(msg: &str) -> ! {
 /// Prints `msg` plus the shared usage line to stderr and exits 1.
 pub fn usage(msg: &str) -> ! {
     fieldswap_obs::error!("{msg}");
-    eprintln!("usage: <bin> [--full|--quick] [--domain fara|fcc|brokerage|earnings|loan] [--seed N] [--json PATH] [--samples N] [--trials N] [--testcap N] [--jobs N] [--train-jobs N] [--trace PATH] [--trace-chrome PATH] [--flame PATH] [--metrics PATH] [--metrics-flush-secs N] [--obs-listen ADDR] [--checkpoint-dir PATH] [--resume PATH] [--attacks LIST] [--attack-strength X] [--quantized] [--verbose|-v] [--quiet|-q]");
+    eprintln!("usage: <bin> [--full|--quick] [--domain fara|fcc|brokerage|earnings|loan] [--seed N] [--json PATH] [--samples N] [--trials N] [--testcap N] [--jobs N] [--train-jobs N] [--trace PATH] [--trace-chrome PATH] [--metrics PATH] [--metrics-flush-secs N] [--obs-listen ADDR] [--checkpoint-dir PATH] [--resume PATH] [--attacks LIST] [--attack-strength X] [--quantized] [--verbose|-v] [--quiet|-q]");
     std::process::exit(1)
 }
 
@@ -594,8 +581,6 @@ mod tests {
         let a = BinArgs::try_parse_from(&argv(&[
             "--trace-chrome",
             "t.json",
-            "--flame",
-            "t.folded",
             "--metrics",
             "m.prom",
             "--metrics-flush-secs",
@@ -605,19 +590,17 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(a.obs.trace_chrome.as_deref(), Some("t.json"));
-        assert_eq!(a.obs.flame.as_deref(), Some("t.folded"));
         assert_eq!(a.obs.metrics_flush_secs, Some(5));
         assert_eq!(a.obs.obs_listen.as_deref(), Some("127.0.0.1:9464"));
 
-        for flag in [
-            "--trace-chrome",
-            "--flame",
-            "--obs-listen",
-            "--metrics-flush-secs",
-        ] {
+        for flag in ["--trace-chrome", "--obs-listen", "--metrics-flush-secs"] {
             let err = BinArgs::try_parse_from(&argv(&[flag, "--full"])).unwrap_err();
             assert!(err.contains(flag), "{flag}: {err}");
         }
+        // No collapsed-stack export: the span tree's `self` column holds
+        // the same per-path self times.
+        let err = BinArgs::try_parse_from(&argv(&["--flame", "t.folded"])).unwrap_err();
+        assert!(err.contains("--flame"), "{err}");
     }
 
     #[test]

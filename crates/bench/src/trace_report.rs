@@ -1,10 +1,10 @@
-//! Trace analysis for the JSONL traces written by `--trace`: per-phase
-//! total/self/call tables, the critical path through the span tree,
-//! per-worker utilization timelines, and a phase-level regression diff
-//! against a baseline trace with a `--gate-pct` failure threshold (the
-//! `trace_report` binary; the trace-side sibling of [`crate::gate`]).
+//! Trace analysis for the JSONL traces written by `--trace` (the
+//! `trace_report` binary): the per-phase span tree (total, self and
+//! calls, as [`fieldswap_obs::render_span_tree`] prints it at the end of
+//! a traced run), the critical path through it, and per-worker
+//! utilization timelines.
 
-use fieldswap_obs::{aggregate_path_durations, SpanNode};
+use fieldswap_obs::{aggregate_path_durations, render_span_tree, SpanNode};
 use serde_json::Value;
 use std::collections::BTreeMap;
 
@@ -59,37 +59,6 @@ pub fn parse_trace(jsonl: &str) -> Result<Vec<TraceSpan>, String> {
 /// live collector's span summary).
 pub fn aggregate(spans: &[TraceSpan]) -> Vec<SpanNode> {
     aggregate_path_durations(spans.iter().map(|s| (s.path.as_str(), s.dur_us)))
-}
-
-/// Renders the per-phase table: one row per span path with call count,
-/// total wall time, and self time (total minus children), indented by
-/// tree depth and sorted so children follow parents.
-pub fn render_phase_table(nodes: &[SpanNode]) -> String {
-    let mut out = String::from(
-        "phase                                     calls    total ms     self ms  self%\n",
-    );
-    out.push_str(&"-".repeat(78));
-    out.push('\n');
-    let grand_total: u64 = nodes
-        .iter()
-        .filter(|n| n.depth() == 0)
-        .map(|n| n.total_us)
-        .sum();
-    for n in nodes {
-        let label = format!("{}{}", "  ".repeat(n.depth()), n.name());
-        let self_pct = if grand_total > 0 {
-            100.0 * n.self_us() as f64 / grand_total as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "{label:<40} {:>6}  {:>10.1}  {:>10.1}  {self_pct:>4.1}\n",
-            n.calls,
-            n.total_us as f64 / 1e3,
-            n.self_us() as f64 / 1e3,
-        ));
-    }
-    out
 }
 
 /// The critical path: starting from the root with the largest total
@@ -254,84 +223,11 @@ pub fn render_utilization(spans: &[TraceSpan]) -> String {
     out
 }
 
-/// One row of the baseline diff: a phase's total time in both traces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseDelta {
-    /// Span path.
-    pub path: String,
-    /// Baseline total, microseconds (0 = phase absent from baseline).
-    pub baseline_us: u64,
-    /// Current total, microseconds (0 = phase absent from current).
-    pub current_us: u64,
-}
-
-impl PhaseDelta {
-    /// Relative change in percent (positive = regression). A phase new
-    /// in the current trace reports +100%.
-    pub fn pct(&self) -> f64 {
-        if self.baseline_us == 0 {
-            if self.current_us == 0 {
-                0.0
-            } else {
-                100.0
-            }
-        } else {
-            100.0 * (self.current_us as f64 - self.baseline_us as f64) / self.baseline_us as f64
-        }
-    }
-}
-
-/// Diffs two aggregated traces phase-by-phase (union of paths, sorted).
-pub fn diff_phases(baseline: &[SpanNode], current: &[SpanNode]) -> Vec<PhaseDelta> {
-    let mut map: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for n in baseline {
-        map.entry(&n.path).or_default().0 = n.total_us;
-    }
-    for n in current {
-        map.entry(&n.path).or_default().1 = n.total_us;
-    }
-    map.into_iter()
-        .map(|(path, (baseline_us, current_us))| PhaseDelta {
-            path: path.to_string(),
-            baseline_us,
-            current_us,
-        })
-        .collect()
-}
-
-/// Renders the regression diff table and returns the phases that
-/// regressed past the gate: total grew more than `gate_pct` percent AND
-/// the current total is at least `min_ms` (the noise floor — a 3ms
-/// phase doubling is jitter, not a regression).
-pub fn render_diff(deltas: &[PhaseDelta], gate_pct: f64, min_ms: f64) -> (String, Vec<PhaseDelta>) {
-    let mut out =
-        format!("phase diff vs baseline (gate: >{gate_pct:.0}% growth at >={min_ms:.0}ms):\n");
-    out.push_str("phase                                    base ms     cur ms    delta%  gate\n");
-    out.push_str(&"-".repeat(76));
-    out.push('\n');
-    let mut failures = Vec::new();
-    for d in deltas {
-        let fails = d.pct() > gate_pct && d.current_us as f64 / 1e3 >= min_ms;
-        out.push_str(&format!(
-            "{:<38} {:>9.1}  {:>9.1}  {:>+7.1}%  {}\n",
-            d.path,
-            d.baseline_us as f64 / 1e3,
-            d.current_us as f64 / 1e3,
-            d.pct(),
-            if fails { "FAIL" } else { "ok" },
-        ));
-        if fails {
-            failures.push(d.clone());
-        }
-    }
-    (out, failures)
-}
-
-/// Renders the full single-trace report: phase table, critical path,
+/// Renders the full single-trace report: span tree, critical path,
 /// worker utilization.
 pub fn render_report(spans: &[TraceSpan]) -> String {
     let nodes = aggregate(spans);
-    let mut out = render_phase_table(&nodes);
+    let mut out = render_span_tree(&nodes);
     out.push('\n');
     out.push_str(&render_critical_path(&nodes));
     out.push('\n');
@@ -384,15 +280,14 @@ mod tests {
             span("cell/train", 0, 0, 600),
             span("cell/eval", 0, 600, 300),
         ];
-        let table = render_phase_table(&aggregate(&spans));
-        assert!(table.contains("cell"), "{table}");
-        assert!(table.contains("  train"), "{table}");
-        // cell self = 1000 - 900 = 100us = 0.1ms
-        let cell_row = table.lines().find(|l| l.starts_with("cell")).unwrap();
+        let report = render_report(&spans);
+        // cell: total 1000us = 1.0ms, self 1000 - 900 = 100us = 0.1ms.
+        let cell = report.lines().find(|l| l.starts_with("cell ")).unwrap();
         assert!(
-            cell_row.contains("1.0") && cell_row.contains("0.1"),
-            "{cell_row}"
+            cell.contains("total       1.0ms") && cell.contains("self       0.1ms"),
+            "{report}"
         );
+        assert!(report.contains("\n  train "), "{report}");
     }
 
     #[test]
@@ -438,35 +333,10 @@ mod tests {
     }
 
     #[test]
-    fn diff_gates_on_pct_and_noise_floor() {
-        let baseline = aggregate(&[span("train", 0, 0, 100_000), span("tiny", 0, 0, 1_000)]);
-        let current = aggregate(&[
-            span("train", 0, 0, 150_000), // +50% at 150ms: regression
-            span("tiny", 0, 0, 3_000),    // +200% but 3ms: under the floor
-            span("fresh", 0, 0, 2_000),   // new phase, under the floor
-        ]);
-        let deltas = diff_phases(&baseline, &current);
-        assert_eq!(deltas.len(), 3);
-        let (text, failures) = render_diff(&deltas, 25.0, 10.0);
-        assert!(text.contains("FAIL"), "{text}");
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].path, "train");
-        assert!((failures[0].pct() - 50.0).abs() < 1e-9);
-
-        // Raising the gate clears it.
-        let (_, failures) = render_diff(&deltas, 60.0, 10.0);
-        assert!(failures.is_empty());
-
-        // A phase absent from the baseline reports +100%.
-        let fresh = deltas.iter().find(|d| d.path == "fresh").unwrap();
-        assert!((fresh.pct() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn full_report_renders_all_sections() {
         let spans = [span("grid", 0, 0, 1000), span("grid/cell", 1, 0, 800)];
         let report = render_report(&spans);
-        assert!(report.contains("phase"), "{report}");
+        assert!(report.contains("span tree"), "{report}");
         assert!(report.contains("critical path"), "{report}");
         assert!(report.contains("worker utilization"), "{report}");
     }

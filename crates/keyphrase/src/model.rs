@@ -19,7 +19,7 @@
 
 use crate::features::{cand_pos_id, rel_pos_id, text_id, CAND_POS_VOCAB, POS_VOCAB, TEXT_VOCAB};
 use fieldswap_docmodel::{Corpus, Document, NeighborMetric};
-use fieldswap_nn::{cosine_similarity, Adam, GradBuffer, Init, Optimizer, ParamStore, Tape};
+use fieldswap_nn::{cosine_similarity, Adam, GradBuffer, Init, ParamStore, Tape};
 use fieldswap_parallel::WorkerPool;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -3,7 +3,7 @@
 //! # fieldswap-nn
 //!
 //! A minimal, dependency-free neural-network stack: dense 2-D tensors, a
-//! tape-based reverse-mode autograd, SGD/Adam optimizers, and the
+//! tape-based reverse-mode autograd, the Adam optimizer, and the
 //! *sparsemax* transformation (Martins & Astudillo, 2016) that the paper
 //! applies to neighbor importance scores (Section II-A2).
 //!
@@ -15,11 +15,11 @@
 //!
 //! ## Example
 //! ```
-//! use fieldswap_nn::{ParamStore, Tape, Sgd, Optimizer, Init, Tensor};
+//! use fieldswap_nn::{Adam, Init, ParamStore, Tape, Tensor};
 //!
 //! let mut params = ParamStore::new(42);
 //! let w = params.tensor("w", 2, 1, Init::Xavier);
-//! let mut opt = Sgd::new(0.5);
+//! let mut opt = Adam::new(0.1);
 //! for _ in 0..200 {
 //!     let mut tape = Tape::new();
 //!     let x = tape.constant(Tensor::from_rows(vec![vec![1.0, 2.0]]));
@@ -42,7 +42,7 @@ pub mod sparsemax;
 pub mod tape;
 pub mod tensor;
 
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use sparsemax::sparsemax;
 pub use tape::{GradBuffer, Init, NodeId, ParamId, ParamStore, Tape};
 pub use tensor::Tensor;

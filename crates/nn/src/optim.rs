@@ -1,9 +1,9 @@
-//! First-order optimizers over a [`ParamStore`].
+//! The Adam optimizer over a [`ParamStore`].
 //!
-//! Both optimizers exploit the store's lazy gradients and active-row
-//! tracking: a parameter whose gradient was never allocated is skipped
-//! outright, and Adam updates only rows that have ever received gradient
-//! mass. Skipped work is provably a bitwise no-op — an untouched row has
+//! It exploits the store's lazy gradients and active-row tracking: a
+//! parameter whose gradient was never allocated is skipped outright, and
+//! only rows that have ever received gradient mass are updated. Skipped
+//! work is provably a bitwise no-op — an untouched row has
 //! `g = m = v = 0`, so the dense update would compute
 //! `x -= lr * (+0.0) / (sqrt(+0.0) + eps) = x - (+0.0)`, which leaves
 //! every `f32` (including `-0.0`) unchanged, and would store `m` and `v`
@@ -12,62 +12,8 @@
 use crate::tape::ParamStore;
 use crate::tensor::Tensor;
 
-/// A gradient-based parameter update rule.
-pub trait Optimizer {
-    /// Applies one update step using the gradients currently accumulated in
-    /// `store`, then zeroes them.
-    fn step(&mut self, store: &mut ParamStore);
-}
-
-/// Plain stochastic gradient descent with optional gradient clipping.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Per-tensor L2 clip threshold (`None` disables clipping).
-    pub clip: Option<f32>,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no clipping.
-    pub fn new(lr: f32) -> Self {
-        Self { lr, clip: None }
-    }
-
-    /// SGD with per-tensor gradient-norm clipping.
-    pub fn with_clip(lr: f32, clip: f32) -> Self {
-        Self {
-            lr,
-            clip: Some(clip),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        for (value, grad, _active) in store.updates_mut() {
-            // A parameter backward never touched has identically-zero
-            // gradient: the whole update is `x -= lr * 0`.
-            let Some(grad) = grad else {
-                continue;
-            };
-            let mut scale = self.lr;
-            if let Some(c) = self.clip {
-                let n = grad.norm();
-                if n > c {
-                    scale *= c / n;
-                }
-            }
-            for (v, g) in value.data_mut().iter_mut().zip(grad.data()) {
-                *v -= scale * g;
-            }
-            grad.zero();
-        }
-    }
-}
-
 /// Adam (Kingma & Ba) with bias correction and optional per-tensor L2
-/// gradient clipping (mirroring [`Sgd::with_clip`]).
+/// gradient clipping.
 #[derive(Debug)]
 pub struct Adam {
     /// Learning rate.
@@ -138,10 +84,10 @@ impl Adam {
             value.data_mut()[k] -= self.lr * mhat / (vhat.sqrt() + self.eps);
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore) {
+    /// Applies one update step using the gradients currently accumulated
+    /// in `store`, then zeroes them.
+    pub fn step(&mut self, store: &mut ParamStore) {
         self.t += 1;
         let t = self.t as f32;
         let bc1 = 1.0 - self.beta1.powf(t);
@@ -232,57 +178,19 @@ mod tests {
     }
 
     #[test]
-    fn sgd_descends() {
+    fn adam_descends() {
         let mut store = ParamStore::new(1);
         let p = store.tensor("w", 2, 1, Init::Xavier);
-        let mut opt = Sgd::new(0.3);
+        let mut opt = Adam::new(0.05);
         let first = quadratic_loss(&mut store, p);
         opt.step(&mut store);
-        for _ in 0..50 {
+        for _ in 0..30 {
             quadratic_loss(&mut store, p);
             opt.step(&mut store);
         }
         store.zero_grads();
         let last = quadratic_loss(&mut store, p);
-        assert!(last < first);
-    }
-
-    #[test]
-    fn adam_descends_faster_than_tiny_sgd() {
-        let run = |mut opt: Box<dyn Optimizer>| {
-            let mut store = ParamStore::new(2);
-            let p = store.tensor("w", 2, 1, Init::Zeros);
-            for _ in 0..30 {
-                quadratic_loss(&mut store, p);
-                opt.step(&mut store);
-            }
-            store.zero_grads();
-            quadratic_loss(&mut store, p)
-        };
-        let adam = run(Box::new(Adam::new(0.05)));
-        let sgd = run(Box::new(Sgd::new(0.001)));
-        assert!(adam < sgd, "adam {adam} should beat lr=0.001 sgd {sgd}");
-    }
-
-    #[test]
-    fn sgd_clipping_bounds_update() {
-        let mut store = ParamStore::new(3);
-        let p = store.tensor("w", 1, 1, Init::Zeros);
-        // Manually set a huge gradient.
-        store.zero_grads();
-        {
-            let mut tape = Tape::new();
-            let x = tape.constant(Tensor::from_vec(1, 1, vec![1000.0]));
-            let w = tape.param(&store, p);
-            let z = tape.matmul(x, w);
-            let loss = tape.bce_with_logits(z, &[1.0]);
-            tape.backward(loss, &mut store);
-        }
-        let before = store.value(p).data()[0];
-        let mut opt = Sgd::with_clip(1.0, 0.1);
-        opt.step(&mut store);
-        let delta = (store.value(p).data()[0] - before).abs();
-        assert!(delta <= 0.1 + 1e-6, "clipped step was {delta}");
+        assert!(last < first * 0.5, "{last} !< half of {first}");
     }
 
     #[test]
@@ -372,8 +280,7 @@ mod tests {
             gather_loss(&mut dense, q);
             let mut tape = Tape::new();
             let w = tape.param(&dense, q);
-            let r0 = tape.select_row(w, 0);
-            let s = tape.scale(r0, 0.0);
+            let s = tape.scale(w, 0.0);
             let pooled = tape.max_pool(s);
             let extra = tape.bce_with_logits(pooled, &[0.5, 0.5, 0.5]);
             tape.backward(extra, &mut dense);
@@ -390,7 +297,7 @@ mod tests {
         let p = store.tensor("w", 2, 1, Init::Xavier);
         quadratic_loss(&mut store, p);
         assert!(store.grad(p).norm() > 0.0);
-        Sgd::new(0.1).step(&mut store);
+        Adam::new(0.1).step(&mut store);
         assert_eq!(store.grad(p).norm(), 0.0);
     }
 
@@ -423,8 +330,7 @@ mod tests {
             // Densify the active set without adding gradient mass.
             let mut tape = Tape::new();
             let w = tape.param(&dense, q);
-            let r0 = tape.select_row(w, 0);
-            let s = tape.scale(r0, 0.0);
+            let s = tape.scale(w, 0.0);
             let pooled = tape.max_pool(s);
             let extra = tape.bce_with_logits(pooled, &[0.5, 0.5, 0.5]);
             // d(loss)/dw through scale(0) is exactly 0 everywhere.

@@ -6,8 +6,8 @@
 //!
 //! The op set is exactly what the Fig.-2 importance model needs:
 //! constants, parameter reads, embedding gathers, matmul, transpose,
-//! row-broadcast add, element-wise add/mul/ReLU/tanh, scalar scale, row
-//! softmax, column-wise max-pool, row concatenation, row selection, and a
+//! row-broadcast add, element-wise add and ReLU, scalar scale, row
+//! softmax, column-wise max-pool, row concatenation, and a
 //! binary-cross-entropy-with-logits loss head.
 //!
 //! Allocation behavior: a tape owns a shape-keyed pool of tensor buffers.
@@ -377,10 +377,7 @@ enum Op {
     Add(NodeId, NodeId),
     /// `a + broadcast_rows(b)` where `b` is `1 x cols`.
     AddRow(NodeId, NodeId),
-    /// Element-wise (Hadamard) product.
-    Mul(NodeId, NodeId),
     Relu(NodeId),
-    Tanh(NodeId),
     Scale(NodeId, f32),
     /// Row-wise softmax.
     Softmax(NodeId),
@@ -388,8 +385,6 @@ enum Op {
     MaxPool(NodeId, Vec<usize>),
     /// Horizontal concatenation of `1 x a` and `1 x b` → `1 x (a+b)`.
     ConcatCols(NodeId, NodeId),
-    /// Copy of row `r` of the input as a `1 x cols` tensor.
-    SelectRow(NodeId, usize),
     /// Mean binary cross-entropy with logits against fixed targets;
     /// produces a `1 x 1` scalar.
     BceWithLogits(NodeId, Vec<f32>),
@@ -567,21 +562,6 @@ impl Tape {
         self.push(Op::AddRow(a, b), v)
     }
 
-    /// Element-wise product (same shapes).
-    pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = {
-            let av = &self.nodes[a.0].value;
-            let bv = &self.nodes[b.0].value;
-            assert_eq!((av.rows(), av.cols()), (bv.rows(), bv.cols()));
-            let mut v = self.pool.take_uninit(av.rows(), av.cols());
-            for ((o, &x), &y) in v.data_mut().iter_mut().zip(av.data()).zip(bv.data()) {
-                *o = x * y;
-            }
-            v
-        };
-        self.push(Op::Mul(a, b), v)
-    }
-
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
         let mut v = self.pool.take_copy(&self.nodes[a.0].value);
@@ -589,15 +569,6 @@ impl Tape {
             *x = x.max(0.0);
         }
         self.push(Op::Relu(a), v)
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let mut v = self.pool.take_copy(&self.nodes[a.0].value);
-        for x in v.data_mut() {
-            *x = x.tanh();
-        }
-        self.push(Op::Tanh(a), v)
     }
 
     /// Multiplies every element by constant `s`.
@@ -663,17 +634,6 @@ impl Tape {
             v
         };
         self.push(Op::ConcatCols(a, b), v)
-    }
-
-    /// Copies row `r` of `a` into a fresh `1 x cols` node.
-    pub fn select_row(&mut self, a: NodeId, r: usize) -> NodeId {
-        let v = {
-            let av = &self.nodes[a.0].value;
-            let mut v = self.pool.take_uninit(1, av.cols());
-            v.data_mut().copy_from_slice(av.row(r));
-            v
-        };
-        self.push(Op::SelectRow(a, r), v)
     }
 
     /// Mean binary cross-entropy with logits. `logits` must contain exactly
@@ -816,31 +776,6 @@ impl Tape {
                     }
                     Self::accum_owned(&mut self.nodes[b.0].grad, &mut self.pool, db);
                 }
-                Op::Mul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let da = {
-                        let bv = &self.nodes[b.0].value;
-                        let mut da = self.pool.take_uninit(grad.rows(), grad.cols());
-                        for ((o, &g), &x) in
-                            da.data_mut().iter_mut().zip(grad.data()).zip(bv.data())
-                        {
-                            *o = g * x;
-                        }
-                        da
-                    };
-                    Self::accum_owned(&mut self.nodes[a.0].grad, &mut self.pool, da);
-                    let db = {
-                        let av = &self.nodes[a.0].value;
-                        let mut db = self.pool.take_uninit(grad.rows(), grad.cols());
-                        for ((o, &g), &x) in
-                            db.data_mut().iter_mut().zip(grad.data()).zip(av.data())
-                        {
-                            *o = g * x;
-                        }
-                        db
-                    };
-                    Self::accum_owned(&mut self.nodes[b.0].grad, &mut self.pool, db);
-                }
                 Op::Relu(a) => {
                     let a = *a;
                     let da = {
@@ -850,20 +785,6 @@ impl Tape {
                             da.data_mut().iter_mut().zip(grad.data()).zip(av.data())
                         {
                             *o = if x > 0.0 { g } else { 0.0 };
-                        }
-                        da
-                    };
-                    Self::accum_owned(&mut self.nodes[a.0].grad, &mut self.pool, da);
-                }
-                Op::Tanh(a) => {
-                    let a = *a;
-                    let da = {
-                        let yv = &self.nodes[i].value;
-                        let mut da = self.pool.take_uninit(grad.rows(), grad.cols());
-                        for ((o, &g), &y) in
-                            da.data_mut().iter_mut().zip(grad.data()).zip(yv.data())
-                        {
-                            *o = g * (1.0 - y * y);
                         }
                         da
                     };
@@ -910,21 +831,6 @@ impl Tape {
                     let mut db = self.pool.take_uninit(1, grad.cols() - ac);
                     db.data_mut().copy_from_slice(&grad.row(0)[ac..]);
                     Self::accum_owned(&mut self.nodes[b.0].grad, &mut self.pool, db);
-                }
-                Op::SelectRow(a, r) => {
-                    let (a, r) = (*a, *r);
-                    if self.nodes[a.0].grad.is_none() {
-                        let (vr, vc) = {
-                            let v = &self.nodes[a.0].value;
-                            (v.rows(), v.cols())
-                        };
-                        let z = self.pool.take_zeroed(vr, vc);
-                        self.nodes[a.0].grad = Some(z);
-                    }
-                    let g = self.nodes[a.0].grad.as_mut().expect("just ensured");
-                    for (gv, &d) in g.row_mut(r).iter_mut().zip(grad.row(0)) {
-                        *gv += d;
-                    }
                 }
                 Op::BceWithLogits(logits, targets) => {
                     let logits = *logits;
@@ -1010,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_relu_tanh_chain() {
+    fn grad_check_relu_chain() {
         let mut store = ParamStore::new(2);
         let w = store.tensor("w", 2, 3, Init::Xavier);
         grad_check(&mut store, w, |tape, store| {
@@ -1018,8 +924,8 @@ mod tests {
             let wv = tape.param(store, w);
             let h = tape.matmul(x, wv);
             let h = tape.relu(h);
-            let h = tape.tanh(h);
             let h = tape.scale(h, 1.7);
+            let h = tape.relu(h);
             tape.bce_with_logits(h, &[1.0, 0.0, 1.0])
         });
     }
@@ -1072,26 +978,11 @@ mod tests {
             grad_check(&mut store, p, |tape, store| {
                 let rows = tape.gather(store, emb, &[0, 3, 3, 1]);
                 let pooled = tape.max_pool(rows);
-                let first = tape.select_row(rows, 0);
+                let first = tape.gather(store, emb, &[0]);
                 let cat = tape.concat_cols(pooled, first);
                 let hw = tape.param(store, head);
                 let logit = tape.matmul(cat, hw);
                 tape.bce_with_logits(logit, &[0.0])
-            });
-        }
-    }
-
-    #[test]
-    fn grad_check_mul() {
-        let mut store = ParamStore::new(5);
-        let a = store.tensor("a", 1, 4, Init::Xavier);
-        let b = store.tensor("b", 1, 4, Init::Xavier);
-        for p in [a, b] {
-            grad_check(&mut store, p, |tape, store| {
-                let av = tape.param(store, a);
-                let bv = tape.param(store, b);
-                let m = tape.mul(av, bv);
-                tape.bce_with_logits(m, &[1.0, 0.0, 1.0, 0.0])
             });
         }
     }
@@ -1106,7 +997,7 @@ mod tests {
             let x = tape.constant(Tensor::from_rows(vec![vec![0.4, -1.2, 0.8]]));
             let wv = tape.param(store, w);
             let h = tape.matmul(x, wv);
-            let h = tape.tanh(h);
+            let h = tape.relu(h);
             let loss = tape.bce_with_logits(h, &[1.0, 0.0]);
             tape.backward(loss, store);
             (tape.value(loss).data()[0], store.grad(w).clone())
@@ -1226,7 +1117,7 @@ mod tests {
                 tape.reset();
                 let rows = tape.gather(store, emb, idx);
                 let pooled = tape.max_pool(rows);
-                let first = tape.select_row(rows, 0);
+                let first = tape.gather(store, emb, &idx[..1]);
                 let cat = tape.concat_cols(pooled, first);
                 let wv = tape.param(store, w);
                 let logit = tape.matmul(cat, wv);
@@ -1275,10 +1166,9 @@ mod tests {
 
     #[test]
     fn training_reduces_loss() {
-        use crate::optim::{Optimizer, Sgd};
         let mut store = ParamStore::new(11);
         let w = store.tensor("w", 2, 1, Init::Xavier);
-        let mut opt = Sgd::new(0.5);
+        let mut opt = crate::Adam::new(0.1);
         let run = |store: &mut ParamStore| {
             let mut tape = Tape::new();
             let x = tape.constant(Tensor::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]));

@@ -1,20 +1,16 @@
-//! Trace exporters beyond the native JSONL: Chrome trace-event JSON
-//! (loadable in Perfetto / `chrome://tracing`) and collapsed-stack
-//! flamegraph format.
+//! The trace exporter beyond the native JSONL: Chrome trace-event JSON
+//! (loadable in Perfetto / `chrome://tracing`).
 //!
 //! The Chrome export puts each recording thread on its own track,
 //! labeled with its OS thread name (`fieldswap-pool-3`,
 //! `fieldswap-grid-0`, …), so the worker-pool utilization from the
 //! parallel grid/training is directly visible on the timeline. Spans
 //! become `"X"` (complete) events, log lines become `"i"` (instant)
-//! events.
-//!
-//! The collapsed-stack export writes one `path;seg;seg self_us` line
-//! per aggregated span node — the input format of the classic
-//! `flamegraph.pl` and of most modern flamegraph viewers.
+//! events. Per-phase self time is the `self` column of
+//! [`render_span_tree`](crate::render_span_tree).
 
 use crate::sink::{push_json_str, Event};
-use crate::span::{aggregate_spans, thread_names, SpanRecord};
+use crate::span::{thread_names, SpanRecord};
 
 /// Renders events as a Chrome trace-event JSON document (the
 /// `{"traceEvents":[...]}` object form). Timestamps and durations are
@@ -92,29 +88,6 @@ fn push_complete_event(r: &SpanRecord, out: &mut String) {
     out.push('}');
 }
 
-/// Renders the aggregated span tree in collapsed-stack flamegraph
-/// format: one `a;b;c self_us` line per path, weights in microseconds
-/// of *self* time so the flame widths sum correctly.
-pub fn render_collapsed(events: &[Event]) -> String {
-    let records: Vec<&SpanRecord> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::Span(r) => Some(r),
-            _ => None,
-        })
-        .collect();
-    let mut out = String::new();
-    for node in aggregate_spans(records.into_iter()) {
-        let self_us = node.self_us();
-        if self_us == 0 {
-            continue;
-        }
-        out.push_str(&node.path.replace('/', ";"));
-        out.push_str(&format!(" {self_us}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,23 +149,7 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_stacks_use_self_time() {
-        let events = [
-            span("cell", "cell", 0, 0, 100),
-            span("cell/train", "train", 0, 10, 60),
-            span("cell/eval", "eval", 0, 70, 40),
-        ];
-        let text = render_collapsed(&events);
-        // cell self = 100 - (60 + 40) = 0 -> elided; children keep full
-        // durations.
-        assert!(!text.contains("cell 0"), "{text}");
-        assert!(text.contains("cell;train 60"), "{text}");
-        assert!(text.contains("cell;eval 40"), "{text}");
-    }
-
-    #[test]
     fn empty_event_lists_render_cleanly() {
-        assert_eq!(render_collapsed(&[]), "");
         let doc = render_chrome_trace(&[]);
         assert!(doc.contains("traceEvents"), "{doc}");
     }

@@ -59,7 +59,7 @@ pub mod serve;
 pub mod sink;
 pub mod span;
 
-pub use export::{render_chrome_trace, render_collapsed};
+pub use export::render_chrome_trace;
 pub use logger::{Level, Verbosity};
 pub use metrics::{Histogram, Registry};
 pub use serve::{Handler, HttpRequest, HttpResponse, HttpServer, ObsServer, PeriodicFlush};
@@ -249,9 +249,9 @@ impl Collector {
     }
 
     /// Aggregates the recorded spans into per-path [`SpanNode`]s — the
-    /// snapshot behind the end-of-run summary, the `/spans` endpoint,
-    /// and the flamegraph export. Safe to call while a run is in
-    /// flight: it sees every span closed so far.
+    /// snapshot behind the end-of-run summary and the `/spans` endpoint.
+    /// Safe to call while a run is in flight: it sees every span closed
+    /// so far.
     pub fn span_nodes(&self) -> Vec<SpanNode> {
         let events = self.events.lock().expect("obs events poisoned");
         let records: Vec<&SpanRecord> = events
@@ -296,12 +296,6 @@ impl Collector {
     pub fn write_chrome_trace(&self, path: &str) -> std::io::Result<()> {
         let events = self.events();
         std::fs::write(path, render_chrome_trace(&events))
-    }
-
-    /// Writes the span tree in collapsed-stack flamegraph format.
-    pub fn write_collapsed(&self, path: &str) -> std::io::Result<()> {
-        let events = self.events();
-        std::fs::write(path, render_collapsed(&events))
     }
 
     /// Renders the metrics registry in Prometheus text exposition style.

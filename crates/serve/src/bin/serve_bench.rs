@@ -4,35 +4,31 @@
 //! p50/p99 latency. `--json PATH` writes the additive-versioned
 //! `BENCH_serve.json` consumed by `bench_gate serve`.
 //!
-//! Clients honor overload semantics: a `503` + `Retry-After` response is
-//! retried after a deterministic jittered backoff ([`backoff_ms`]), and
-//! shed/`503`/`504`/retry totals land in the JSON report alongside
-//! `shed_rate` and `availability`. The run fails if any request never
-//! reached a `200`.
+//! The server runs with no admission limit and no default deadline, so
+//! every request should end in a `200`. Any other response is a failed
+//! request: it is printed with its status, and the run exits nonzero.
 //!
 //! The default 2000 requests leave 20 samples beyond the p99 that the
-//! CI gate reads. Fault injection is tested by the chaos soak
+//! CI gate reads. Overload, deadlines and fault injection are tested by
+//! `tests/overload_deadline.rs` and the chaos soak
 //! (`tests/chaos_soak.rs`), not by this benchmark.
 
 use fieldswap_datagen::{generate, Domain};
 use fieldswap_extract::{Extractor, Lexicon, TrainConfig};
 use fieldswap_obs::cli::Flags;
-use fieldswap_serve::{
-    backoff_ms, domain_key, ModelEntry, RegistrySnapshot, ServeConfig, ServeHandle,
-};
+use fieldswap_serve::{domain_key, ModelEntry, RegistrySnapshot, ServeConfig, ServeHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Additive-versioned schema of `BENCH_serve.json`. Bump when adding
-/// fields; the gate only reads fields it knows. v2 adds `shed_503`,
-/// `deadline_504`, `retries`, `shed_rate`, and `availability`.
-const SCHEMA_VERSION: u64 = 2;
-
-/// How many times a shed request is retried before counting as failed.
-const MAX_RETRIES: u64 = 5;
+/// Additive-versioned schema of `BENCH_serve.json`. Bump when the fields
+/// change; the gate only reads fields it knows. v3 drops v2's overload
+/// fields (`shed_503`, `deadline_504`, `retries`, `shed_rate`,
+/// `availability`); `errors` counts every request that did not end in a
+/// `200`.
+const SCHEMA_VERSION: u64 = 3;
 
 struct Args {
     requests: usize,
@@ -42,9 +38,6 @@ struct Args {
     train_docs: usize,
     seed: u64,
     json: Option<String>,
-    max_inflight: usize,
-    default_deadline_ms: u64,
-    timeout_ms: Option<u64>,
 }
 
 fn main() {
@@ -58,9 +51,6 @@ fn main() {
                 train_docs: f.num("--train-docs")?.unwrap_or(15),
                 seed: f.num("--seed")?.unwrap_or(7),
                 json: f.value("--json")?,
-                max_inflight: f.num("--max-inflight")?.unwrap_or(0),
-                default_deadline_ms: f.num("--default-deadline-ms")?.unwrap_or(0),
-                timeout_ms: f.num("--timeout-ms")?,
             };
             if args.requests == 0 || args.concurrency == 0 || args.docs_per_request == 0 {
                 return Err("requests, concurrency, and docs-per-request must be positive".into());
@@ -91,20 +81,10 @@ fn train_entry(domain: Domain, seed: u64, docs: usize) -> ModelEntry {
     }
 }
 
-/// One `/v1/extract` response, classified by overload semantics.
-enum Outcome {
-    /// HTTP 200, with end-to-end latency.
-    Ok(Duration),
-    /// HTTP 503 shed, carrying the advertised `Retry-After` seconds.
-    Shed { retry_after_secs: u64 },
-    /// HTTP 504 deadline exceeded.
-    Deadline,
-    /// HTTP 500 (an isolated worker panic).
-    ServerError,
-}
-
-/// One HTTP request over a fresh socket, classified.
-fn post_extract(addr: SocketAddr, body: &[u8]) -> Result<Outcome, String> {
+/// One HTTP request over a fresh socket: its end-to-end latency when the
+/// server answered `200`, the response's status line as the error
+/// otherwise.
+fn post_extract(addr: SocketAddr, body: &[u8]) -> Result<Duration, String> {
     let t0 = Instant::now();
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let header = format!(
@@ -119,31 +99,10 @@ fn post_extract(addr: SocketAddr, body: &[u8]) -> Result<Outcome, String> {
     stream
         .read_to_string(&mut response)
         .map_err(|e| format!("read: {e}"))?;
-    let status = response
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.get(..3))
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| {
-            format!(
-                "unparsable response: {}",
-                response.lines().next().unwrap_or("<empty>")
-            )
-        })?;
-    match status {
-        200 => Ok(Outcome::Ok(t0.elapsed())),
-        503 => Ok(Outcome::Shed {
-            retry_after_secs: response
-                .lines()
-                .find_map(|l| l.strip_prefix("Retry-After: "))
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(1),
-        }),
-        504 => Ok(Outcome::Deadline),
-        500 => Ok(Outcome::ServerError),
-        other => Err(format!(
-            "unexpected status {other}: {}",
-            response.lines().next().unwrap_or("<empty>")
-        )),
+    if response.starts_with("HTTP/1.1 200 ") {
+        Ok(t0.elapsed())
+    } else {
+        Err(response.lines().next().unwrap_or("empty response").into())
     }
 }
 
@@ -153,18 +112,6 @@ fn percentile_ms(sorted_us: &[u64], p: f64) -> f64 {
     }
     let idx = ((p / 100.0) * (sorted_us.len() - 1) as f64).round() as usize;
     sorted_us[idx] as f64 / 1e3
-}
-
-#[derive(Default)]
-struct Tally {
-    shed_503: AtomicUsize,
-    deadline_504: AtomicUsize,
-    server_500: AtomicUsize,
-    retries: AtomicUsize,
-    /// Requests that never reached a 200 (post-retry sheds, 504s, 500s).
-    failed: AtomicUsize,
-    /// Transport-level errors (connect/read failures).
-    errors: AtomicUsize,
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -188,9 +135,9 @@ fn run(args: &Args) -> Result<(), String> {
         initial: Some(snapshot),
         workers: args.workers,
         quantized: false,
-        max_inflight: args.max_inflight,
+        max_inflight: 0,
         max_docs_per_request: 0,
-        default_deadline_ms: args.default_deadline_ms,
+        default_deadline_ms: 0,
         chaos: None,
     })?;
     let addr = handle.addr();
@@ -203,13 +150,10 @@ fn run(args: &Args) -> Result<(), String> {
         .enumerate()
         .map(|(i, &d)| {
             let docs = generate(d, args.seed + 100 + i as u64, args.docs_per_request).documents;
-            let mut fields = vec![(
+            let fields = vec![(
                 "documents".into(),
                 serde::Value::Array(docs.iter().map(serde::Serialize::to_value).collect()),
             )];
-            if let Some(ms) = args.timeout_ms {
-                fields.push(("timeout_ms".into(), serde::Value::Int(ms as i64)));
-            }
             serde_json::to_string(&serde::Value::Object(fields))
                 .expect("document tree")
                 .into_bytes()
@@ -218,16 +162,11 @@ fn run(args: &Args) -> Result<(), String> {
 
     // Warmup: prime scratches and the row caches off the clock.
     for body in &bodies {
-        match post_extract(addr, body) {
-            Ok(Outcome::Ok(_)) => {}
-            Ok(_) if args.timeout_ms.is_some() => {}
-            Ok(_) => return Err("warmup request was rejected".into()),
-            Err(e) => return Err(format!("warmup failed: {e}")),
-        }
+        post_extract(addr, body).map_err(|e| format!("warmup failed: {e}"))?;
     }
 
     let next = AtomicUsize::new(0);
-    let tally = Tally::default();
+    let failed = AtomicUsize::new(0);
     let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(args.requests));
     let t0 = Instant::now();
     std::thread::scope(|s| {
@@ -239,48 +178,11 @@ fn run(args: &Args) -> Result<(), String> {
                     if i >= args.requests {
                         break;
                     }
-                    let body = &bodies[i % bodies.len()];
-                    let mut attempt = 0u64;
-                    loop {
-                        match post_extract(addr, body) {
-                            Ok(Outcome::Ok(lat)) => {
-                                local.push(lat.as_micros() as u64);
-                                break;
-                            }
-                            Ok(Outcome::Shed { retry_after_secs }) => {
-                                tally.shed_503.fetch_add(1, Ordering::Relaxed);
-                                if attempt >= MAX_RETRIES {
-                                    tally.failed.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
-                                // Honor Retry-After with deterministic
-                                // jitter so retries spread out instead of
-                                // re-stampeding in lockstep.
-                                let wait = backoff_ms(
-                                    args.seed,
-                                    i as u64,
-                                    attempt,
-                                    retry_after_secs.max(1) * 1000,
-                                );
-                                std::thread::sleep(Duration::from_millis(wait));
-                                attempt += 1;
-                                tally.retries.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(Outcome::Deadline) => {
-                                tally.deadline_504.fetch_add(1, Ordering::Relaxed);
-                                tally.failed.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Ok(Outcome::ServerError) => {
-                                tally.server_500.fetch_add(1, Ordering::Relaxed);
-                                tally.failed.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            Err(e) => {
-                                tally.errors.fetch_add(1, Ordering::Relaxed);
-                                eprintln!("request {i} failed: {e}");
-                                break;
-                            }
+                    match post_extract(addr, &bodies[i % bodies.len()]) {
+                        Ok(lat) => local.push(lat.as_micros() as u64),
+                        Err(e) => {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                            eprintln!("request {i} failed: {e}");
                         }
                     }
                 }
@@ -293,40 +195,24 @@ fn run(args: &Args) -> Result<(), String> {
     let mut lat_us = latencies.into_inner().expect("latencies");
     lat_us.sort_unstable();
     let ok = lat_us.len();
-    let shed_503 = tally.shed_503.load(Ordering::Relaxed);
-    let deadline_504 = tally.deadline_504.load(Ordering::Relaxed);
-    let server_500 = tally.server_500.load(Ordering::Relaxed);
-    let retries = tally.retries.load(Ordering::Relaxed);
-    let failed = tally.failed.load(Ordering::Relaxed);
-    let errors = tally.errors.load(Ordering::Relaxed);
-    let attempts = ok + shed_503 + deadline_504 + server_500 + errors;
-    let shed_rate = if attempts > 0 {
-        shed_503 as f64 / attempts as f64
-    } else {
-        0.0
-    };
-    let availability = ok as f64 / args.requests as f64;
+    let failed = failed.into_inner();
     let throughput = ok as f64 / wall.as_secs_f64();
     let p50 = percentile_ms(&lat_us, 50.0);
     let p99 = percentile_ms(&lat_us, 99.0);
     println!(
-        "serve_bench: {ok}/{} ok, {failed} failed, {errors} transport errors, {:.1}s wall",
+        "serve_bench: {ok}/{} ok, {failed} failed, {:.1}s wall",
         args.requests,
         wall.as_secs_f64()
     );
     println!("  throughput  {throughput:>10.1} req/s");
     println!("  p50 latency {p50:>10.3} ms");
     println!("  p99 latency {p99:>10.3} ms");
-    println!("  503 shed    {shed_503:>10}  (retries {retries})");
-    println!("  504 dead    {deadline_504:>10}");
-    println!("  500 panic   {server_500:>10}");
-    println!("  availability {availability:>9.4}");
 
     handle.shutdown();
 
     if let Some(path) = &args.json {
         let json = format!(
-            "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"seed\": {},\n  \"requests\": {},\n  \"concurrency\": {},\n  \"docs_per_request\": {},\n  \"workers\": {},\n  \"train_docs\": {},\n  \"throughput_rps\": {throughput:.2},\n  \"p50_ms\": {p50:.4},\n  \"p99_ms\": {p99:.4},\n  \"errors\": {errors},\n  \"shed_503\": {shed_503},\n  \"deadline_504\": {deadline_504},\n  \"retries\": {retries},\n  \"shed_rate\": {shed_rate:.4},\n  \"availability\": {availability:.4}\n}}\n",
+            "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"seed\": {},\n  \"requests\": {},\n  \"concurrency\": {},\n  \"docs_per_request\": {},\n  \"workers\": {},\n  \"train_docs\": {},\n  \"throughput_rps\": {throughput:.2},\n  \"p50_ms\": {p50:.4},\n  \"p99_ms\": {p99:.4},\n  \"errors\": {failed}\n}}\n",
             args.seed,
             args.requests,
             args.concurrency,
@@ -337,8 +223,8 @@ fn run(args: &Args) -> Result<(), String> {
         std::fs::write(path, json).map_err(|e| format!("writing {path:?}: {e}"))?;
         println!("wrote {path}");
     }
-    if failed + errors > 0 {
-        return Err(format!("{} requests failed", failed + errors));
+    if failed > 0 {
+        return Err(format!("{failed} requests failed"));
     }
     Ok(())
 }

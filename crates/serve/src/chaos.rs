@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the serving stack.
 //!
-//! A [`FaultPlan`] is a seeded, declarative description of the faults to
+//! A [`FaultPlan`] is a declarative description of the faults to
 //! inject — extra inference latency, forced worker panics on specific
 //! global document indices, and corrupt model directories on `/reload`.
 //! The plan is parsed from the hidden `fieldswap-serve serve --chaos
@@ -10,19 +10,15 @@
 //! server through a storm, with stalled writers holding half-written
 //! requests open, and asserts the availability invariants.
 //!
-//! Determinism contract: every server-side decision is a pure function
-//! of the plan and a global document counter ([`Chaos::on_infer`]
-//! assigns each inferred document the next index), so a run injects
-//! exactly the faults the spec names — `panic-doc=7` panics the worker
-//! handling the 8th document, every time. Client-side jitter
-//! ([`backoff_ms`]) derives from the plan seed the same way the
-//! experiment harness derives per-cell seeds: splitmix over
-//! `(seed, request, attempt)`.
+//! Determinism contract: every decision is a pure function of the plan
+//! and a global document counter ([`Chaos::on_infer`] assigns each
+//! inferred document the next index), so a run injects exactly the
+//! faults the spec names — `panic-doc=7` panics the worker handling the
+//! 8th document, every time.
 //!
 //! Spec grammar (comma-separated `key=value`, all keys optional):
 //!
 //! ```text
-//! seed=U64            jitter seed (default 0)
 //! delay-ms=U64        injected latency per inferred doc inside the window
 //! panic-doc=N         force a worker panic on global doc index N (repeatable)
 //! panic-every=K       force a worker panic on every K-th doc (doc K-1, 2K-1, …)
@@ -37,8 +33,6 @@ use std::time::Duration;
 /// the spec grammar.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// Seed for client backoff jitter and any future randomized faults.
-    pub seed: u64,
     /// Injected latency per inferred document inside the fault window.
     pub delay_ms: u64,
     /// Global document indices whose inference is forced to panic.
@@ -70,7 +64,6 @@ impl FaultPlan {
                     .map_err(|_| format!("chaos {what}: bad value {value:?}"))
             };
             match key {
-                "seed" => plan.seed = num("seed")?,
                 "delay-ms" => plan.delay_ms = num("delay-ms")?,
                 "panic-doc" => plan.panic_docs.push(num("panic-doc")?),
                 "panic-every" => plan.panic_every = num("panic-every")?,
@@ -101,22 +94,6 @@ impl Chaos {
             docs: AtomicU64::new(0),
             corrupt_left,
         }
-    }
-
-    /// The plan this state executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Documents inferred so far (the global fault clock).
-    pub fn docs_seen(&self) -> u64 {
-        self.docs.load(Ordering::Relaxed)
-    }
-
-    /// Whether the fault window is over (always false for unwindowed
-    /// plans).
-    pub fn window_over(&self) -> bool {
-        self.plan.window_docs > 0 && self.docs_seen() >= self.plan.window_docs
     }
 
     /// Called by the executor once per inferred document, inside the
@@ -161,25 +138,6 @@ impl Chaos {
     }
 }
 
-/// Deterministic jittered backoff for clients honoring `Retry-After`:
-/// a value in `[base_ms/2, base_ms]`, derived from
-/// `(seed, request, attempt)` by splitmix64 so reruns back off
-/// identically. `base_ms` of 0 stays 0.
-pub fn backoff_ms(seed: u64, request: u64, attempt: u64, base_ms: u64) -> u64 {
-    if base_ms == 0 {
-        return 0;
-    }
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(request.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(attempt.wrapping_mul(0x94d0_49bb_1331_11eb))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    base_ms / 2 + z % (base_ms / 2 + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,11 +145,9 @@ mod tests {
     #[test]
     fn parses_full_spec() {
         let plan = FaultPlan::parse(
-            "seed=42,delay-ms=5,panic-doc=7,panic-doc=3,panic-every=10,\
-             window-docs=100,corrupt-reloads=2",
+            "delay-ms=5,panic-doc=7,panic-doc=3,panic-every=10,window-docs=100,corrupt-reloads=2",
         )
         .unwrap();
-        assert_eq!(plan.seed, 42);
         assert_eq!(plan.delay_ms, 5);
         assert_eq!(plan.panic_docs, vec![3, 7]); // sorted
         assert_eq!(plan.panic_every, 10);
@@ -209,6 +165,9 @@ mod tests {
         assert!(FaultPlan::parse("delay-ms").is_err());
         assert!(FaultPlan::parse("delay-ms=abc").is_err());
         assert!(FaultPlan::parse("bogus-key=1").is_err());
+        // There is no seed: every fault is a pure function of the
+        // document counter.
+        assert!(FaultPlan::parse("seed=7").is_err());
         // Stalled clients are a load condition of the chaos soak, not a
         // server fault.
         assert!(FaultPlan::parse("stall-clients=1").is_err());
@@ -227,10 +186,9 @@ mod tests {
                 panicked.push(i);
             }
         }
-        // panic-doc=1 plus every 4th (docs 3, 7), all within the window.
+        // panic-doc=1 plus every 4th (docs 3, 7) within the window; the
+        // window stops doc 11's panic.
         assert_eq!(panicked, vec![1, 3, 7]);
-        assert_eq!(chaos.docs_seen(), 12);
-        assert!(chaos.window_over());
     }
 
     #[test]
@@ -240,22 +198,5 @@ mod tests {
         assert!(chaos.fail_reload());
         assert!(!chaos.fail_reload());
         assert!(!chaos.fail_reload());
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        for request in 0..50u64 {
-            for attempt in 0..4u64 {
-                let a = backoff_ms(7, request, attempt, 1000);
-                let b = backoff_ms(7, request, attempt, 1000);
-                assert_eq!(a, b);
-                assert!((500..=1000).contains(&a), "{a}");
-            }
-        }
-        assert_eq!(backoff_ms(7, 1, 1, 0), 0);
-        // Different coordinates actually jitter.
-        let distinct: std::collections::HashSet<u64> =
-            (0..32).map(|r| backoff_ms(7, r, 0, 1000)).collect();
-        assert!(distinct.len() > 4, "{distinct:?}");
     }
 }

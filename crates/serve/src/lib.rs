@@ -21,22 +21,21 @@
 //!   shedding, per-request deadlines (`504`), panic isolation, and a
 //!   `/reload` circuit breaker. A `/v1/extract` body is decoded in one
 //!   pass, straight from JSON text into an [`ExtractRequest`].
-//! * [`chaos`] — deterministic fault injection (seeded [`FaultPlan`])
-//!   behind the hidden `serve --chaos` flag, driven by the chaos soak
-//!   test (`tests/chaos_soak.rs`).
+//! * [`chaos`] — deterministic fault injection ([`FaultPlan`]) behind
+//!   the hidden `serve --chaos` flag, driven by the chaos soak test
+//!   (`tests/chaos_soak.rs`).
 //!
 //! The `fieldswap-serve` binary wraps this into `serve` / `train` /
 //! `sample` subcommands (`--domain` is read by
 //! [`Domain::parse`](fieldswap_datagen::Domain::parse)); `serve_bench`
-//! hammers a live server over real sockets and writes
-//! `BENCH_serve.json`.
+//! loads a live server over real sockets and writes `BENCH_serve.json`.
 
 pub mod chaos;
 pub mod executor;
 pub mod registry;
 pub mod server;
 
-pub use chaos::{backoff_ms, Chaos, FaultPlan};
+pub use chaos::{Chaos, FaultPlan};
 pub use executor::{Executor, PredictResult, ScoredSpans};
 pub use registry::{match_score, ModelEntry, Registry, RegistrySnapshot, MODEL_EXT};
 pub use server::{ExtractRequest, ServeConfig, ServeHandle};

@@ -26,7 +26,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-const CHAOS_SPEC: &str = "seed=7,delay-ms=2,panic-every=5,window-docs=60,corrupt-reloads=3";
+const CHAOS_SPEC: &str = "delay-ms=2,panic-every=5,window-docs=60,corrupt-reloads=3";
 
 /// Clients that hold a half-written request open through the storm.
 const STALLED_WRITERS: usize = 2;
